@@ -31,7 +31,6 @@ from .peterson import (
     RootRecord,
     RootTable,
     ZeroDenominator,
-    c_real_direction,
     c_value,
     compute_all,
     mobius_mult,
@@ -39,7 +38,7 @@ from .peterson import (
     query_mult,
 )
 from .presets import preset_matrix, tree_matrix
-from .weyl import OrbitBatch, pingpong, reflect
+from .weyl import pingpong, reflect
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "RootRecord",
     "RootTable",
     "ZeroDenominator",
-    "c_real_direction",
     "c_value",
     "compute_all",
     "mobius_mult",
@@ -81,7 +79,6 @@ __all__ = [
     "query_mult",
     "preset_matrix",
     "tree_matrix",
-    "OrbitBatch",
     "pingpong",
     "reflect",
 ]

@@ -5,7 +5,8 @@ requested height, and writes the root table as CSV or JSON lines.  Output
 for a fixed configuration is byte-identical across runs; status chatter
 goes to stderr so stdout stays parseable.
 
-Exit codes: 0 ok, 2 unusable input or refused oracle check, 3 invalid or
+Exit codes: 0 ok, 1 chamber Hilbert basis could not be completed
+(CapExceeded), 2 unusable input or refused oracle check, 3 invalid or
 non-symmetrizable Cartan matrix, 4 oracle disagreement, 5 internal
 integrality failure.
 """
@@ -29,6 +30,7 @@ ORACLE_MAX_RANK = 3
 ORACLE_MAX_HEIGHT = 15
 
 EXIT_OK = 0
+EXIT_CAP_EXCEEDED = 1
 EXIT_INPUT = 2
 EXIT_BAD_MATRIX = 3
 EXIT_ORACLE_MISMATCH = 4
@@ -45,7 +47,6 @@ class RunConfig:
     emit_metrics: bool = False
     oracle_check: bool = False
     force_oracle: bool = False
-    workers: int = 1
     quiet: bool = False
 
 
@@ -75,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(d <= {ORACLE_MAX_RANK}, height <= {ORACLE_MAX_HEIGHT})")
     parser.add_argument("--force-oracle", action="store_true",
                         help="run the oracle check beyond its intended bounds")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker threads for the Peterson sums")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress status messages on stderr")
     parser.add_argument("--version", action="version", version=__version__)
@@ -87,8 +86,6 @@ def load_config(argv=None) -> RunConfig:
     args = build_parser().parse_args(argv)
     if args.height < 1:
         raise ValueError("--height must be >= 1")
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
     if args.preset is not None:
         try:
             grid = preset_matrix(args.preset)
@@ -111,7 +108,6 @@ def load_config(argv=None) -> RunConfig:
         emit_metrics=args.metrics,
         oracle_check=args.oracle_check,
         force_oracle=args.force_oracle,
-        workers=args.workers,
         quiet=args.quiet,
     )
 
@@ -154,13 +150,13 @@ def run(config: RunConfig) -> int:
             return EXIT_INPUT
 
     try:
-        table = compute_all(cm, config.cap, KillingCounter(), workers=config.workers)
+        table = compute_all(cm, config.cap, KillingCounter())
     except NonIntegerMultiplicity as e:
         status(f"internal integrality failure: {e}")
         return EXIT_INTEGRALITY
     except CapExceeded as e:
         status(f"hilbert basis out of bounds: {e}")
-        return 1
+        return EXIT_CAP_EXCEEDED
 
     stream = open(config.out, "w", encoding="utf-8") if config.out else sys.stdout
     try:

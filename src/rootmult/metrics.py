@@ -8,7 +8,6 @@ are deliberately not counted.
 
 from __future__ import annotations
 
-import threading
 from math import comb, factorial
 
 PHASE_PINGPONG = "pingpong"
@@ -18,27 +17,23 @@ PHASE_ADHOC = "adhoc"
 
 
 class KillingCounter:
-    """Monotone per-phase counter, safe under concurrent increments."""
+    """Monotone per-phase counter: one counter per run; not shared across threads."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
 
     def tick(self, phase: str = PHASE_ADHOC, n: int = 1) -> None:
         if n < 0:
             raise ValueError("counter is monotone")
-        with self._lock:
-            self._counts[phase] = self._counts.get(phase, 0) + n
+        self._counts[phase] = self._counts.get(phase, 0) + n
 
     def count(self, phase: str | None = None) -> int:
-        with self._lock:
-            if phase is None:
-                return sum(self._counts.values())
-            return self._counts.get(phase, 0)
+        if phase is None:
+            return sum(self._counts.values())
+        return self._counts.get(phase, 0)
 
     def by_phase(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     def __repr__(self) -> str:
         return f"KillingCounter({self.by_phase()})"
@@ -72,7 +67,7 @@ def counter_snapshot(run) -> dict:
     """
     phases = run.counter.by_phase()
     kn = k_naive_closed(run.cm.d, run.cap)
-    ka = phases.get(PHASE_PINGPONG, 0) + phases.get(PHASE_SUM, 0)
+    ka = k_ascent_measured(run.counter)
     report = {
         "phases": phases,
         "k_ascent": ka if ka else None,

@@ -21,7 +21,6 @@ floating point is used anywhere in the engine.
 from __future__ import annotations
 
 import bisect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,11 +43,11 @@ from .weyl import pingpong
 
 KIND_REAL = "real"
 KIND_IMAGINARY = "imaginary"
-KIND_SCALED_REAL = "scaled-real"
 
 
 class NonIntegerMultiplicity(ArithmeticError):
-    """Moebius inversion produced a non-integer or negative multiplicity.
+    """Moebius inversion produced a non-integer or negative multiplicity, or
+    a chamber point has a nonzero c-value but multiplicity 0.
 
     This is the engine's strongest self-check: it can only fire on an
     upstream bug, never on valid input.
@@ -73,8 +72,8 @@ class RootRecord:
 class RootTable:
     """Graded store of every discovered vector with its (c, mult, kind).
 
-    Single writer during a run (pingpong and the driver mutate it); safe
-    for shared concurrent reads afterwards.
+    Filled in by one run (pingpong and the driver write to it); read-only
+    once compute_all returns.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -160,19 +159,6 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
     return Fraction(0)
 
 
-def c_real_direction(table: RootTable, gamma: Vec) -> Fraction:
-    """c(gamma) for positive-norm gamma: 1/l if gamma/l is a recorded real
-    root (l = gcd of the coordinates), else 0."""
-    if killing(table.cm, gamma, gamma) <= 0:
-        raise ValueError(f"{gamma} does not have positive norm")
-    n = coord_gcd(gamma)
-    base = table.entries.get(vdiv(gamma, n))
-    if base is not None:
-        assert base.kind == KIND_REAL, "positive-norm direction holds a non-real root"
-        return Fraction(1, n)
-    return Fraction(0)
-
-
 def _pair_candidates(table: RootTable, beta: Vec) -> list[tuple[Vec, Fraction]]:
     """Candidate lower halves u of decompositions beta = u + v with c(u) != 0.
 
@@ -221,7 +207,7 @@ def _sum_terms(table: RootTable, beta: Vec, cands) -> Fraction:
     return total
 
 
-def peterson_c(table: RootTable, beta: Vec, workers: int = 1) -> Fraction:
+def peterson_c(table: RootTable, beta: Vec) -> Fraction:
     """Evaluate the Peterson recurrence at a chamber point.
 
     Every chamber point of smaller height must already have been processed
@@ -229,25 +215,13 @@ def peterson_c(table: RootTable, beta: Vec, workers: int = 1) -> Fraction:
     decompositions with both c-values nonzero.  Unordered pairs are visited
     once and doubled (the self-pair beta = 2u counts once), which halves the
     form count; every evaluated form ticks the counter.
-
-    With workers > 1 the candidate list is split across threads; the
-    reduction is an exact rational sum, so the result and the counter totals
-    are identical to the sequential run.
     """
     denom = killing(table.cm, beta, beta, table.counter, PHASE_SUM) - rho_pair(
         table.cm, beta
     )
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
-    cands = _pair_candidates(table, beta)
-    if workers > 1 and len(cands) > 8:
-        chunks = [cands[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ch: _sum_terms(table, beta, ch), chunks))
-        total = sum(parts, Fraction(0))
-    else:
-        total = _sum_terms(table, beta, cands)
-    return total / denom
+    return _sum_terms(table, beta, _pair_candidates(table, beta)) / denom
 
 
 def mobius_mult(table: RootTable, beta: Vec, c_beta: Fraction | None = None) -> int:
@@ -278,15 +252,16 @@ def compute_all(
     cm: CartanMatrix,
     cap: int,
     counter: KillingCounter | None = None,
-    workers: int = 1,
 ) -> RootTable:
     """Find every positive root of height <= cap with its multiplicity.
 
     Initializes m = c = 1 on the simple roots and pingpongs them, then walks
     the chamber points in ascending (height, lex) order: Peterson c-value,
     Moebius multiplicity, and - for actual roots - an orbit closure that
-    propagates the values.  Chamber points that turn out not to be roots are
-    recorded only if their c-value is nonzero, and are never pingponged.
+    propagates the values.  A chamber point that is not a root must have
+    c = 0: a nonzero c would make some beta/n (n >= 2) a root, and that
+    vector lies in the chamber too, so it is imaginary and its multiple
+    beta is a root.  A violation raises NonIntegerMultiplicity.
     """
     table = RootTable(cm, cap, counter)
     for i in range(cm.d):
@@ -296,13 +271,15 @@ def compute_all(
 
     hb = hilbert_basis(cm)
     for beta in enumerate_chamber(cm, hb, cap):
-        c = peterson_c(table, beta, workers=workers)
+        c = peterson_c(table, beta)
         mult = mobius_mult(table, beta, c)
         if mult > 0:
             table.record(beta, c, mult, KIND_IMAGINARY)
             pingpong(cm, beta, cap, table)
         elif c:
-            table.record(beta, c, 0, KIND_SCALED_REAL)
+            raise NonIntegerMultiplicity(
+                f"c({render(beta)}) = {c} but m = 0 at a chamber point"
+            )
     return table
 
 

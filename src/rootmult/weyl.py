@@ -3,25 +3,13 @@
 pingpong walks a seed root's Weyl orbit depth-first, keeping every image
 that stays positive with height at most the cap, and propagates the
 seed's multiplicity and c-value (both Weyl invariants) into the table.
-It is the single writer of the shared RootTable while it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cartan import CartanMatrix
 from .lattice import Vec, height, is_positive
 from .metrics import PHASE_ADHOC, PHASE_PINGPONG, KillingCounter
-
-
-@dataclass(frozen=True)
-class OrbitBatch:
-    seed: Vec
-    members: frozenset[Vec]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def reflect(
@@ -48,12 +36,12 @@ def reflect(
     return beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
 
 
-def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> OrbitBatch:
+def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> frozenset[Vec]:
     """Close the seed's Weyl orbit under the height cap.
 
     Pops a vector, forms all d reflections, keeps the positive ones of
     height <= cap, and records each new one with the seed's stored values.
-    Returns the batch of all orbit members visited (including ones that
+    Returns the set of all orbit members visited (including ones that
     were already in the table); running it twice adds nothing the second
     time.  The seed must already be recorded.
     """
@@ -80,4 +68,4 @@ def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> OrbitBatch:
                 raise AssertionError(
                     f"orbit member {gamma} already recorded with conflicting values"
                 )
-    return OrbitBatch(seed=seed, members=frozenset(members))
+    return frozenset(members)

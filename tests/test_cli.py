@@ -99,13 +99,6 @@ def test_out_file_and_stdout_agree(tmp_path):
     assert out.read_text() == direct.stdout
 
 
-def test_workers_flag_changes_nothing():
-    base = run_cli("--preset", "hyp-2-3", "--height", "12", "--metrics", "--quiet")
-    threaded = run_cli("--preset", "hyp-2-3", "--height", "12", "--metrics",
-                       "--quiet", "--workers", "3")
-    assert base.stdout == threaded.stdout
-
-
 def test_byte_identical_reruns():
     args = ("--preset", "hyp-2-3", "--height", "14", "--format", "json",
             "--hilbert-basis", "--metrics", "--quiet")

@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 
 from rootmult import (
@@ -51,21 +49,6 @@ def test_counter_tick_and_phases():
     assert c.by_phase() == {"adhoc": 1, PHASE_SUM: 4}
     with pytest.raises(ValueError):
         c.tick(n=-1)
-
-
-def test_counter_concurrent_increments_lose_nothing():
-    c = KillingCounter()
-
-    def worker():
-        for _ in range(10_000):
-            c.tick(PHASE_SUM)
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert c.count(PHASE_SUM) == 80_000
 
 
 def test_measured_ascent_monotone_in_height():

@@ -6,7 +6,6 @@ from rootmult import (
     HeightExceedsCap,
     NonIntegerMultiplicity,
     build,
-    c_real_direction,
     c_value,
     compare_tables,
     compute_all,
@@ -59,17 +58,6 @@ def test_mobius_mult_raises_on_non_integer():
         mobius_mult(table, (2, 2), c_beta=Fraction(1, 3))
 
 
-def test_c_real_direction():
-    table = compute_all(build(HYP3), 5)
-    assert c_real_direction(table, (2, 0)) == Fraction(1, 2)
-    assert c_real_direction(table, (5, 0)) == Fraction(1, 5)
-    # killing((4,1),(4,1)) = 32 - 12 - 12 + 2 = 10 > 0, and (4,1) is not a root
-    assert killing(table.cm, (4, 1), (4, 1)) == 10
-    assert c_real_direction(table, (4, 1)) == 0
-    with pytest.raises(ValueError):
-        c_real_direction(table, (1, 1))  # norm -2
-
-
 def test_c_value_covers_scaled_reals_without_storing():
     table = compute_all(build(AFFINE_A1), 8)
     assert (2, 0) not in table
@@ -77,6 +65,21 @@ def test_c_value_covers_scaled_reals_without_storing():
     assert c_value(table, (0, 3)) == Fraction(1, 3)
     assert c_value(table, (3, 1)) == 0
     assert c_value(table, (2, 2)) == Fraction(3, 2)
+
+    table = compute_all(build(HYP3), 5)
+    assert c_value(table, (5, 0)) == Fraction(1, 5)
+    # killing((4,1),(4,1)) = 32 - 12 - 12 + 2 = 10 > 0, and (4,1) is not a root
+    assert killing(table.cm, (4, 1), (4, 1)) == 10
+    assert c_value(table, (4, 1)) == 0
+
+
+def test_nonzero_c_without_multiplicity_is_an_integrity_error(monkeypatch):
+    # A non-root chamber point with c != 0 cannot occur; if Moebius
+    # inversion ever reports m = 0 there, the run stops instead of
+    # recording the point.
+    monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda *args: 0)
+    with pytest.raises(NonIntegerMultiplicity):
+        compute_all(build(AFFINE_A1), 4)
 
 
 def test_compute_all_finite_type():
@@ -181,19 +184,6 @@ def test_c_minus_mult_is_divisor_tail():
             if g % n == 0
         )
         assert rec.c - rec.mult == tail
-
-
-def test_workers_give_identical_results_and_counts():
-    from rootmult import KillingCounter, k_ascent_measured
-
-    cm = build(HYP3)
-    c1, c2 = KillingCounter(), KillingCounter()
-    t1 = compute_all(cm, 25, c1, workers=1)
-    t2 = compute_all(cm, 25, c2, workers=4)
-    assert set(t1.entries) == set(t2.entries)
-    for v in t1.entries:
-        assert (t1.get(v).c, t1.get(v).mult) == (t2.get(v).c, t2.get(v).mult)
-    assert k_ascent_measured(c1) == k_ascent_measured(c2)
 
 
 def test_table_record_guards():
