@@ -11,8 +11,7 @@ cost of the naive full-lattice algorithm.
 from .cartan import CartanMatrix, NotGCM, NotSymmetrizable, build, killing, rho_pair
 from .chamber import (
     CapExceeded,
-    HilbertBasis,
-    enumerate_chamber,
+    chamber_points,
     extreme_rays,
     hilbert_basis,
     in_chamber,
@@ -50,8 +49,7 @@ __all__ = [
     "killing",
     "rho_pair",
     "CapExceeded",
-    "HilbertBasis",
-    "enumerate_chamber",
+    "chamber_points",
     "extreme_rays",
     "hilbert_basis",
     "in_chamber",

@@ -1,11 +1,13 @@
-"""The fundamental imaginary chamber and its semigroup of lattice points.
+"""The fundamental imaginary chamber and its lattice points.
 
 The chamber cone is {x >= 0 : (S x)_j <= 0 for all j}; it always sits in
 the positive orthant, hence is pointed, so its lattice points form a
 finitely generated semigroup with a unique minimal generating set (the
 Hilbert basis).
 
-The basis is computed internally in three stages:
+The engine needs only the chamber points up to a height cap, and
+chamber_points enumerates them directly by a pruned coordinate DFS.  The
+Hilbert basis is computed only on request:
 
 1. extreme rays of the cone by the double-description method, exact
    arithmetic, primitive integer representatives;
@@ -17,13 +19,12 @@ The basis is computed internally in three stages:
    chamber points of that box in (height, lex) order and keep each point
    that no earlier generator reduces.
 
-The safety bounds turn a surprisingly large computation into CapExceeded
-instead of an unbounded loop.
+A generator bound above max_height raises CapExceeded instead of starting
+a completion that may not finish.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -33,17 +34,6 @@ from .lattice import Vec, height, leq, vadd, vsub
 
 class CapExceeded(RuntimeError):
     """The Hilbert-basis completion hit its safety bound before finishing."""
-
-
-@dataclass(frozen=True)
-class HilbertBasis:
-    generators: tuple[Vec, ...]
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
 
 
 def in_chamber(cm: CartanMatrix, beta: Vec) -> bool:
@@ -126,99 +116,127 @@ def extreme_rays(cm: CartanMatrix) -> list[Vec]:
     return sorted(rays, key=lambda r: (height(r), r))
 
 
-def _det(columns: list[Vec]) -> int:
-    """Exact determinant of a square integer matrix given by its columns."""
-    n = len(columns)
-    m = [[Fraction(columns[j][i]) for j in range(n)] for i in range(n)]
+def _gauss_jordan(rows) -> tuple[int, list[list[Fraction]] | None]:
+    """Determinant and inverse of a square integer matrix by exact
+    Gauss-Jordan elimination; the inverse is None when the determinant is 0."""
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
-            return 0
+            return 0, None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
+        p = m[col][col]
+        det *= p
+        m[col] = [x / p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     assert det.denominator == 1
-    return int(det)
+    return int(det), [row[n:] for row in m]
 
 
-def _chamber_points_under(cm: CartanMatrix, bound: Vec, node_budget: int) -> list[Vec]:
-    """All chamber lattice points componentwise <= bound, by coordinate DFS.
+def _finite_type_inverse(block) -> tuple[int, list[list[int]]] | None:
+    """(det, adjugate) of a principal block of S when it is positive definite.
 
-    A partial assignment is cut as soon as some form row cannot reach <= 0
-    within the remaining coordinate ranges.  node_budget caps the number of
-    DFS nodes visited.
+    S_FF has nonpositive off-diagonal entries, so it is positive definite
+    exactly when it is invertible with an entrywise non-negative inverse
+    (a nonsingular M-matrix); then inverse = adjugate / det with det > 0.
     """
-    d = cm.d
-    # suffix_min[j][k]: most negative contribution rows j can still pick up
-    # from coordinates k..d-1.
-    suffix_min = []
-    for row in cm.s:
-        acc = [0] * (d + 1)
-        for k in range(d - 1, -1, -1):
-            acc[k] = acc[k + 1] + min(0, row[k] * bound[k])
-        suffix_min.append(acc)
+    det, inv = _gauss_jordan(block)
+    if inv is None or det < 0 or any(x < 0 for row in inv for x in row):
+        return None
+    return det, [[int(x * det) for x in row] for row in inv]
 
+
+def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[Vec]:
+    """All chamber lattice points of height <= cap, and <= box componentwise
+    when box is given, sorted (height, lex).
+
+    A DFS fixes the coordinates in index order and keeps the partial row
+    sums rows_j = sum of s_jl x_l over the fixed l.  Three necessary
+    conditions prune it:
+
+    (a) closing rows: once coordinate i fixes the last of row j's support,
+        row j is final, so it bounds x_i from above (j = i) or below (j < i);
+    (b) an open row with rows_j > 0 must reach <= 0 within the remaining
+        height, through its most negative entry on a free coordinate;
+    (c) when the free block S_FF is positive definite (finite type), its
+        inverse is entrywise >= 0, so every free z satisfies
+        z <= u = S_FF^-1 (-rows_F): u caps the next coordinate, and a fixed
+        row j with rows_j + sum_l s_jl u_l > 0 can no longer close.
+
+    Every row is checked exactly when it closes, so each leaf is a chamber
+    point.
+    """
+    d, s = cm.d, cm.s
+    last = [max(l for l in range(d) if s[j][l]) for j in range(d)]
+    closing = [[j for j in range(k + 1) if last[j] == k] for k in range(d)]
+    # most_negative[j][k]: min(0, s_jl for l >= k), the fastest a row can fall
+    most_negative = [[min((0, *row[k:])) for k in range(d + 1)] for row in s]
+    # the (c) bound at depth k, scaled to integers: free block inverses
+    blocks = [_finite_type_inverse([row[k:] for row in s[k:]]) for k in range(d)]
     out: list[Vec] = []
-    partial = [0] * d
-    row_sums = [0] * d
-    nodes = 0
+    x = [0] * d
 
-    def rec(k: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise CapExceeded(
-                f"chamber box enumeration exceeded {node_budget} nodes"
-            )
+    def rec(k: int, rows: list[int], rem: int) -> None:
         if k == d:
-            if any(partial) and all(rs <= 0 for rs in row_sums):
-                out.append(tuple(partial))
+            if rem < cap:
+                out.append(tuple(x))
             return
-        for v in range(bound[k] + 1):
-            partial[k] = v
-            for j in range(d):
-                row_sums[j] += cm.s[j][k] * v
-            if all(row_sums[j] + suffix_min[j][k + 1] <= 0 for j in range(d)):
-                rec(k + 1)
-            for j in range(d):
-                row_sums[j] -= cm.s[j][k] * v
-        partial[k] = 0
+        lo, hi = 0, rem if box is None else min(rem, box[k])
+        if blocks[k] is not None:
+            det, adj = blocks[k]
+            need = [-r for r in rows[k:]]
+            u = [sum(a * b for a, b in zip(arow, need)) for arow in adj]
+            if any(v < 0 for v in u) or any(
+                det * rows[j] + sum(a * b for a, b in zip(s[j][k:], u)) > 0
+                for j in range(k)
+            ):
+                return
+            hi = min(hi, u[0] // det)
+        for j in closing[k]:
+            if j == k:
+                hi = min(hi, -rows[k] // s[k][k])
+            else:
+                lo = max(lo, -(rows[j] // s[j][k]))
+        for v in range(lo, hi + 1):
+            x[k] = v
+            # S is symmetric: row k is the column that x_k multiplies
+            nxt = [r + c * v for r, c in zip(rows, s[k])]
+            left = rem - v
+            if all(r + left * mn[k + 1] <= 0 for r, mn in zip(nxt, most_negative)):
+                rec(k + 1, nxt, left)
+        x[k] = 0
 
-    rec(0)
-    return out
+    rec(0, [0] * d, cap)
+    return sorted(out, key=lambda v: (height(v), v))
 
 
-def hilbert_basis(
-    cm: CartanMatrix,
-    max_height: int | None = None,
-    node_budget: int = 5_000_000,
-) -> HilbertBasis:
+def hilbert_basis(cm: CartanMatrix, max_height: int | None = None) -> tuple[Vec, ...]:
     """Minimal generating set of the chamber semigroup, sorted (height, lex).
 
     max_height bounds the height of any generator the completion is willing
     to certify (default 10 * d * max |S_ij|); CapExceeded signals that the
-    basis could not be completed within the bounds.
+    basis could not be completed within the bound.
     """
     if max_height is None:
         max_height = 10 * cm.d * max(abs(x) for row in cm.s for x in row)
 
     rays = extreme_rays(cm)
-    if not rays:
-        return HilbertBasis(())
-    if len(rays) == 1:
-        # A primitive ray generates its lattice points alone.
-        return HilbertBasis((rays[0],))
-    if len(rays) == cm.d and abs(_det(rays)) == 1:
+    if len(rays) <= 1:
+        # An empty chamber has no generators; a primitive ray generates alone.
+        return tuple(rays)
+    if len(rays) == cm.d and abs(_gauss_jordan(rays)[0]) == 1:
         # Unimodular simplicial cone: the semigroup is free on the rays.
-        return HilbertBasis(tuple(sorted(rays, key=lambda r: (height(r), r))))
+        return tuple(rays)
 
     bound = rays[0]
     for r in rays[1:]:
@@ -229,40 +247,11 @@ def hilbert_basis(
             f"max_height {max_height}"
         )
 
-    candidates = _chamber_points_under(cm, bound, node_budget)
-    candidates.sort(key=lambda v: (height(v), v))
     generators: list[Vec] = []
-    for beta in candidates:
+    for beta in chamber_points(cm, height(bound), bound):
         reducible = any(
             leq(g, beta) and in_chamber(cm, vsub(beta, g)) for g in generators
         )
         if not reducible:
             generators.append(beta)
-    return HilbertBasis(tuple(generators))
-
-
-def enumerate_chamber(cm: CartanMatrix, hb: HilbertBasis, cap: int) -> list[Vec]:
-    """All chamber lattice points of height <= cap, sorted (height, lex).
-
-    Non-negative combinations of the generators, deduplicated: chamber
-    points need not decompose uniquely when the cone is not simplicial.
-    """
-    gens = hb.generators
-    found: set[Vec] = set()
-    seen_states: set[tuple[Vec, int]] = set()
-    stack: list[tuple[Vec, int]] = [((0,) * cm.d, 0)]
-    while stack:
-        base, start = stack.pop()
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            w = vadd(base, g)
-            if height(w) > cap:
-                # Generators are height-sorted, so later ones only overshoot.
-                break
-            state = (w, idx)
-            if state in seen_states:
-                continue
-            seen_states.add(state)
-            found.add(w)
-            stack.append(state)
-    return sorted(found, key=lambda v: (height(v), v))
+    return tuple(generators)

@@ -5,10 +5,10 @@ requested height, and writes the root table as CSV or JSON lines.  Output
 for a fixed configuration is byte-identical across runs; status chatter
 goes to stderr so stdout stays parseable.
 
-Exit codes: 0 ok, 1 chamber Hilbert basis could not be completed
-(CapExceeded), 2 unusable input or refused oracle check, 3 invalid or
-non-symmetrizable Cartan matrix, 4 oracle disagreement, 5 internal
-integrality failure.
+Exit codes: 0 ok, 1 the Hilbert basis asked for by --hilbert-basis could
+not be completed (CapExceeded), 2 unusable input or refused oracle check,
+3 invalid or non-symmetrizable Cartan matrix, 4 oracle disagreement,
+5 internal integrality failure.
 """
 
 from __future__ import annotations
@@ -149,22 +149,24 @@ def run(config: RunConfig) -> int:
             )
             return EXIT_INPUT
 
+    generators = None
+    if config.emit_hilbert_basis:
+        try:
+            generators = hilbert_basis(cm)
+        except CapExceeded as e:
+            status(f"hilbert basis out of bounds: {e}")
+            return EXIT_CAP_EXCEEDED
+
     try:
         table = compute_all(cm, config.cap, KillingCounter())
     except NonIntegerMultiplicity as e:
         status(f"internal integrality failure: {e}")
         return EXIT_INTEGRALITY
-    except CapExceeded as e:
-        status(f"hilbert basis out of bounds: {e}")
-        return EXIT_CAP_EXCEEDED
 
     stream = open(config.out, "w", encoding="utf-8") if config.out else sys.stdout
     try:
-        if config.emit_hilbert_basis:
-            hb = hilbert_basis(cm)
-            stream.write(
-                json.dumps([list(g) for g in hb.generators]) + "\n"
-            )
+        if generators is not None:
+            stream.write(json.dumps([list(g) for g in generators]) + "\n")
         write_table(table.export_rows(), config.fmt, stream)
 
         exit_code = EXIT_OK

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanMatrix, killing, rho_pair
-from .chamber import enumerate_chamber, hilbert_basis
+from .chamber import chamber_points
 from .lattice import (
     Vec,
     coord_gcd,
@@ -269,8 +269,7 @@ def compute_all(
     for i in range(cm.d):
         pingpong(cm, unit(cm.d, i), cap, table)
 
-    hb = hilbert_basis(cm)
-    for beta in enumerate_chamber(cm, hb, cap):
+    for beta in chamber_points(cm, cap):
         c = peterson_c(table, beta)
         mult = mobius_mult(table, beta, c)
         if mult > 0:

@@ -159,7 +159,7 @@ def test_criterion_5_e10_cap_60():
         checked += 1
 
     # a known anchor: the affine e9 null-root chain keeps multiplicity 8
-    delta = hilbert_basis(cm).generators[0]
+    delta = hilbert_basis(cm)[0]
     assert height(delta) == 30
     assert table.get(delta).mult == 8
     assert table.get(vscale(2, delta)).mult == 8

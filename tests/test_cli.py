@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from rootmult import build, chamber, cli, preset_matrix
+from helpers import brute_real_roots
+
 
 def run_cli(*args, expect=0):
     proc = subprocess.run(
@@ -108,5 +111,39 @@ def test_byte_identical_reruns():
     assert first.stdout.encode() == second.stdout.encode()
 
 
-def test_e11_hilbert_basis_out_of_bounds_exits_1():
-    run_cli("--preset", "e11", "--height", "5", "--quiet", expect=1)
+def test_e11_hilbert_basis_out_of_bounds_exits_1(tmp_path):
+    out = tmp_path / "table.csv"
+    proc = run_cli("--preset", "e11", "--height", "5", "--hilbert-basis",
+                   "--out", str(out), expect=1)
+    assert "hilbert basis out of bounds" in proc.stderr
+    assert not out.exists()  # the basis fails before the table is opened
+
+
+def test_e11_computes_to_height_30():
+    proc = run_cli("--preset", "e11", "--height", "30", "--quiet")
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    imaginary = [row for row in rows if row[5] == "imaginary"]
+    # the affine E8 null root, the only imaginary chamber point up to 30
+    assert imaginary == [["6;3;4;2;5;4;3;2;1;0;0", "30", "0", "8/1", "8", "imaginary"]]
+    reals = {tuple(map(int, row[0].split(";"))) for row in rows if row[5] == "real"}
+    assert len(reals) == len(rows) - 1 == 710
+    assert reals == brute_real_roots(build(preset_matrix("e11")), 30)
+
+
+def test_hilbert_basis_computed_once(monkeypatch, capsys):
+    calls = []
+    original = chamber.hilbert_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module of the package that holds the function, the engine too
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("rootmult")
+                and getattr(module, "hilbert_basis", None) is original):
+            monkeypatch.setattr(module, "hilbert_basis", counted)
+    assert cli.main(["--preset", "hyp-2-3", "--height", "10", "--hilbert-basis",
+                     "--quiet"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "[[1, 1], [2, 3], [3, 2]]"

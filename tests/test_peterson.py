@@ -208,3 +208,18 @@ def test_export_rows_sorted_and_schema():
     assert set(rows[0]) == {"coords", "height", "norm", "c", "mult", "kind"}
     null = next(r for r in rows if r["coords"] == (1, 1))
     assert null["norm"] == 0 and null["c"] == "1/1" and null["kind"] == "imaginary"
+
+
+def test_ha1_level_one_multiplicities_are_partition_numbers():
+    # Feingold-Frenkel (Math. Ann. 263, 1983): in HA1^(1) a root with
+    # beta_2 = 1 has multiplicity p(n), n = 1 - (beta, beta)/2.
+    cm = build([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
+    table = compute_all(cm, 40)
+    level_one = [v for v in table.roots() if v[2] == 1]
+    depths = [1 - killing(cm, v, v) // 2 for v in level_one]
+    p = [1] + [0] * max(depths)
+    for part in range(1, len(p)):
+        for n in range(part, len(p)):
+            p[n] += p[n - part]
+    assert len(level_one) == 122 and max(depths) == 19
+    assert [table.get(v).mult for v in level_one] == [p[n] for n in depths]
