@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import Vec, unit
+from .lattice import Vec
 from .metrics import PHASE_ADHOC, KillingCounter
 
 
@@ -32,9 +32,6 @@ class CartanMatrix:
     a: tuple[tuple[int, ...], ...]
     sym: tuple[int, ...]
     s: tuple[tuple[int, ...], ...]
-
-    def simple_roots(self) -> tuple[Vec, ...]:
-        return tuple(unit(self.d, i) for i in range(self.d))
 
     def scaled(self, factor: int) -> "CartanMatrix":
         """Same matrix with the form replaced by factor * S.

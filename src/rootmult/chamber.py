@@ -247,11 +247,12 @@ def hilbert_basis(cm: CartanMatrix, max_height: int | None = None) -> tuple[Vec,
             f"max_height {max_height}"
         )
 
+    # beta - g is <= bound and earlier in (height, lex) than beta, so it is
+    # in the chamber exactly when it is a point already enumerated.
     generators: list[Vec] = []
+    seen: set[Vec] = set()
     for beta in chamber_points(cm, height(bound), bound):
-        reducible = any(
-            leq(g, beta) and in_chamber(cm, vsub(beta, g)) for g in generators
-        )
-        if not reducible:
+        if not any(leq(g, beta) and vsub(beta, g) in seen for g in generators):
             generators.append(beta)
+        seen.add(beta)
     return tuple(generators)

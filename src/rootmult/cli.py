@@ -8,13 +8,14 @@ goes to stderr so stdout stays parseable.
 Exit codes: 0 ok, 1 the Hilbert basis asked for by --hilbert-basis could
 not be completed (CapExceeded), 2 unusable input or refused oracle check,
 3 invalid or non-symmetrizable Cartan matrix, 4 oracle disagreement,
-5 internal integrality failure.
+5 internal integrality failure, 141 stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ EXIT_INPUT = 2
 EXIT_BAD_MATRIX = 3
 EXIT_ORACLE_MISMATCH = 4
 EXIT_INTEGRALITY = 5
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -199,7 +201,15 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Point stdout at devnull so
+        # the flush at interpreter exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ floating point is used anywhere in the engine.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,9 +101,9 @@ class RootTable:
         if beta in self.entries:
             raise ValueError(f"{beta} already recorded")
         self.entries[beta] = RootRecord(c=Fraction(c), mult=mult, kind=kind)
-        bisect.insort(self._by_height.setdefault(h, []), beta)
+        self._by_height.setdefault(h, []).append(beta)
         if kind == KIND_REAL:
-            bisect.insort(self._reals_by_height.setdefault(h, []), beta)
+            self._reals_by_height.setdefault(h, []).append(beta)
 
     def at_height(self, h: int) -> list[Vec]:
         return self._by_height.get(h, [])
@@ -117,7 +116,7 @@ class RootTable:
         return [
             v
             for h in sorted(self._by_height)
-            for v in self._by_height[h]
+            for v in sorted(self._by_height[h])
             if self.entries[v].mult > 0
         ]
 
@@ -128,7 +127,7 @@ class RootTable:
         exporting never perturbs the cost measurement.
         """
         for h in sorted(self._by_height):
-            for v in self._by_height[h]:
+            for v in sorted(self._by_height[h]):
                 rec = self.entries[v]
                 yield {
                     "coords": v,
@@ -164,8 +163,7 @@ def _pair_candidates(table: RootTable, beta: Vec) -> list[tuple[Vec, Fraction]]:
 
     Everything with height(u) <= height(beta)/2, u <= beta componentwise:
     recorded entries straight from the height buckets, plus multiples of
-    recorded real roots with their Lemma-style c = 1/n.  Sorted for
-    reproducibility.
+    recorded real roots with their Lemma-style c = 1/n.
     """
     half = height(beta) // 2
     out: list[tuple[Vec, Fraction]] = []
@@ -173,9 +171,7 @@ def _pair_candidates(table: RootTable, beta: Vec) -> list[tuple[Vec, Fraction]]:
         for u in table.at_height(h):
             if leq(u, beta):
                 out.append((u, table.entries[u].c))
-    for h in sorted(table._reals_by_height):
-        if 2 * h > half:
-            break
+    for h in range(1, half // 2 + 1):
         for r in table.reals_at_height(h):
             n = 2
             while n * h <= half:
@@ -183,7 +179,6 @@ def _pair_candidates(table: RootTable, beta: Vec) -> list[tuple[Vec, Fraction]]:
                 if leq(u, beta):
                     out.append((u, Fraction(1, n)))
                 n += 1
-    out.sort(key=lambda uc: (height(uc[0]), uc[0]))
     return out
 
 

@@ -1,8 +1,9 @@
 """Fundamental reflections and the pingpong orbit closure.
 
-pingpong walks a seed root's Weyl orbit depth-first, keeping every image
-that stays positive with height at most the cap, and propagates the
-seed's multiplicity and c-value (both Weyl invariants) into the table.
+pingpong walks a seed root's Weyl orbit, keeping every image that stays
+positive with height at most the cap, and propagates the seed's
+multiplicity and c-value (both Weyl invariants) into the table.  The table
+is the walk's only visited set, so no recorded vector is reflected twice.
 """
 
 from __future__ import annotations
@@ -36,14 +37,15 @@ def reflect(
     return beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
 
 
-def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> frozenset[Vec]:
+def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> tuple[Vec, ...]:
     """Close the seed's Weyl orbit under the height cap.
 
-    Pops a vector, forms all d reflections, keeps the positive ones of
-    height <= cap, and records each new one with the seed's stored values.
-    Returns the set of all orbit members visited (including ones that
-    were already in the table); running it twice adds nothing the second
-    time.  The seed must already be recorded.
+    Walks breadth-first from the seed, forming all d reflections of each
+    vector.  A positive image of height <= cap that the table does not hold
+    is recorded with the seed's values and walked in turn; one it holds
+    must carry the same values and is not walked again.  Returns the new
+    records in record order (() on a second run).  The seed must already
+    be recorded.
     """
     record = table.get(seed)
     if record is None:
@@ -51,21 +53,18 @@ def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> frozenset[Vec]:
     if height(seed) > cap:
         raise ValueError("seed height exceeds the cap")
 
-    members = {seed}
-    stack = [seed]
-    while stack:
-        beta = stack.pop()
+    walk = [seed]
+    for beta in walk:  # grows while it is read
         for i in range(cm.d):
             gamma = reflect(cm, i, beta, table.counter, PHASE_PINGPONG)
-            if gamma in members or height(gamma) > cap or not is_positive(gamma):
+            if height(gamma) > cap or not is_positive(gamma):
                 continue
-            members.add(gamma)
-            stack.append(gamma)
             existing = table.get(gamma)
             if existing is None:
                 table.record(gamma, record.c, record.mult, record.kind)
+                walk.append(gamma)
             elif (existing.c, existing.mult) != (record.c, record.mult):
                 raise AssertionError(
                     f"orbit member {gamma} already recorded with conflicting values"
                 )
-    return frozenset(members)
+    return tuple(walk[1:])

@@ -5,6 +5,9 @@ paths so they can arbitrate: plain box scans and breadth-first closures.
 """
 
 from itertools import product
+from math import lcm
+
+from hypothesis import strategies as st
 
 from rootmult import build, in_chamber
 from rootmult.lattice import height, is_positive, leq, vsub
@@ -65,6 +68,21 @@ def brute_real_roots(cm, cap):
                 seen.add(image)
                 frontier.append(image)
     return seen
+
+
+@st.composite
+def symmetrizable_gcms(draw):
+    """Rank <= 3 GCMs a_ij = 2 s_ij / s_ii of a symmetric S with s_ii = 2 e_i
+    and off-diagonal entries multiples of lcm(e_i, e_j).  Unequal e_i give
+    non-symmetric matrices, zero bonds decomposable ones."""
+    d = draw(st.integers(1, 3))
+    e = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    grid = [[2] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            s_ij = -draw(st.integers(0, 2)) * lcm(e[i], e[j])
+            grid[i][j], grid[j][i] = s_ij // e[i], s_ij // e[j]
+    return grid
 
 
 def build_all(grids):

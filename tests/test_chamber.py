@@ -1,5 +1,3 @@
-from math import lcm
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +21,7 @@ from helpers import (
     RANK1,
     brute_chamber_points,
     brute_hilbert_basis,
+    symmetrizable_gcms,
 )
 
 
@@ -102,21 +101,6 @@ def test_chamber_points_matches_brute_force(grid, cap):
     got = chamber_points(cm, cap)
     assert got == brute_chamber_points(cm, cap)
     assert got == sorted(set(got), key=lambda v: (height(v), v))
-
-
-@st.composite
-def symmetrizable_gcms(draw):
-    """Rank <= 3 GCMs a_ij = 2 s_ij / s_ii of a symmetric S with s_ii = 2 e_i
-    and off-diagonal entries multiples of lcm(e_i, e_j).  Unequal e_i give
-    non-symmetric matrices, zero bonds decomposable ones."""
-    d = draw(st.integers(1, 3))
-    e = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
-    grid = [[2] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            s_ij = -draw(st.integers(0, 2)) * lcm(e[i], e[j])
-            grid[i][j], grid[j][i] = s_ij // e[i], s_ij // e[j]
-    return grid
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

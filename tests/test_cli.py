@@ -147,3 +147,19 @@ def test_hilbert_basis_computed_once(monkeypatch, capsys):
                      "--quiet"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.splitlines()[0] == "[[1, 1], [2, 3], [3, 2]]"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # e10 to height 60 writes about 160 KB, more than a pipe buffer holds,
+    # so the writer is still blocked when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rootmult", "--preset", "e10", "--height", "60"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"coords,height,norm,c,mult,kind\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in stderr

@@ -10,7 +10,7 @@ from rootmult import (
     naive_compute,
 )
 from rootmult.metrics import PHASE_PINGPONG, PHASE_SUM
-from helpers import HYP3
+from helpers import A2, AFFINE_A1, HYP3
 
 
 def test_k_naive_closed_small_values():
@@ -90,13 +90,30 @@ def test_snapshot_report_shape():
 def test_e10_pingpong_count_at_cap_10():
     # The reference table reports 950 for E10 at height 10.  At that height
     # there are no chamber points yet, so the measured cost is the pingpong
-    # phase alone, which charges d forms per orbit member (each pop computes
-    # all d reflections): exactly d times the table's number, i.e. the table
-    # counted one operation per orbit member.
+    # phase alone: each of the 95 real roots of height <= 10 is reflected
+    # d = 10 times, once, since the root table is the walk's visited set.
     from rootmult import preset_matrix
 
     cm = build(preset_matrix("e10"))
     counter = KillingCounter()
     compute_all(cm, 10, counter)
     assert counter.count(PHASE_SUM) == 0
-    assert k_ascent_measured(counter) == 10 * 950
+    assert k_ascent_measured(counter) == 950
+
+
+@pytest.mark.parametrize("grid,cap", [
+    (A2, 5),
+    (AFFINE_A1, 12),
+    (HYP3, 40),
+    ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], 20),
+    ("e10", 40),
+], ids=["a2", "affine-a1", "hyp-2-3", "ha1", "e10"])
+def test_each_recorded_vector_is_reflected_once(grid, cap):
+    # Simple roots and imaginary chamber points are expanded as pingpong
+    # seeds, every other vector when it is recorded, and nothing twice.
+    from rootmult import preset_matrix
+
+    cm = build(preset_matrix(grid) if isinstance(grid, str) else grid)
+    counter = KillingCounter()
+    table = compute_all(cm, cap, counter)
+    assert counter.count(PHASE_PINGPONG) == cm.d * len(table)

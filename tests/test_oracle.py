@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootmult import (
     KillingCounter,
     build,
+    compare_tables,
     compute_all,
     k_naive_closed,
     naive_compute,
 )
 from rootmult.metrics import PHASE_ORACLE
 from rootmult.oracle import _points_of_height
-from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, RANK1
+from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, RANK1, symmetrizable_gcms
 
 
 def test_points_of_height_enumeration():
@@ -84,3 +86,10 @@ def test_oracle_counts_only_oracle_phase():
     counter = KillingCounter()
     naive_compute(build(A2), 5, counter)
     assert set(counter.by_phase()) == {PHASE_ORACLE}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(), cap=st.integers(1, 9))
+def test_engine_matches_oracle_on_random_gcms(grid, cap):
+    cm = build(grid)
+    assert compare_tables(compute_all(cm, cap), naive_compute(cm, cap)) == []

@@ -223,3 +223,23 @@ def test_ha1_level_one_multiplicities_are_partition_numbers():
             p[n] += p[n - part]
     assert len(level_one) == 122 and max(depths) == 19
     assert [table.get(v).mult for v in level_one] == [p[n] for n in depths]
+
+
+def test_e10_level_one_multiplicities_are_eight_colour_partitions():
+    # Feingold-Frenkel (Math. Ann. 263, 1983): node 9 ends the long chain
+    # of E10, and a root with beta_9 = 1 has multiplicity p_8(n), the number
+    # of partitions of n = 1 - (beta, beta)/2 into parts of 8 colours.
+    from rootmult import preset_matrix
+
+    cm = build(preset_matrix("e10"))
+    table = compute_all(cm, 80)
+    level_one = [v for v in table.roots() if v[9] == 1]
+    depths = [1 - killing(cm, v, v) // 2 for v in level_one]
+    p8 = [1] + [0] * max(depths)
+    for _colour in range(8):
+        for part in range(1, len(p8)):
+            for n in range(part, len(p8)):
+                p8[n] += p8[n - part]
+    assert p8 == [1, 8, 44]
+    assert len(level_one) == 6322
+    assert [table.get(v).mult for v in level_one] == [p8[n] for n in depths]
