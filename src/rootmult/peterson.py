@@ -14,28 +14,34 @@ ever being stored.  Multiplicities follow by Moebius inversion over the
 divisor lattice of gcd(beta), and each new root's orbit is closed by
 pingpong before the next height is processed.
 
-Everything is exact: c-values are fractions, multiplicities integers.  No
-floating point is used anywhere in the engine.
+Everything is exact and integer inside.  With g = gcd(beta), g*c(beta) is
+an integer, because c(beta) = sum_{n | g} m(beta/n)/n; a record stores that
+integer gc beside g, and the Peterson sum and the Moebius inversion work on
+those integers.  Fraction appears only at the edges: one per evaluated
+chamber point, and in c_value and RootRecord.c for readers.  No floating
+point is used anywhere in the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter, le, mul, sub
+from typing import NamedTuple
 
 from .cartan import CartanMatrix, killing, rho_pair
 from .chamber import chamber_points
 from .lattice import (
     Vec,
     coord_gcd,
+    divisors,
     height,
-    leq,
     mobius,
     render,
     unit,
     vdiv,
     vscale,
-    vsub,
 )
 from .metrics import PHASE_SUM, KillingCounter
 from .weyl import pingpong
@@ -45,8 +51,9 @@ KIND_IMAGINARY = "imaginary"
 
 
 class NonIntegerMultiplicity(ArithmeticError):
-    """Moebius inversion produced a non-integer or negative multiplicity, or
-    a chamber point has a nonzero c-value but multiplicity 0.
+    """Moebius inversion produced a non-integer or negative multiplicity, a
+    c-value times gcd(beta) is not an integer, or a chamber point has a
+    nonzero c-value but multiplicity 0.
 
     This is the engine's strongest self-check: it can only fire on an
     upstream bug, never on valid input.
@@ -61,18 +68,32 @@ class HeightExceedsCap(ValueError):
     """Query beyond the height range the table was computed for."""
 
 
-@dataclass
-class RootRecord:
-    c: Fraction
+class RootRecord(NamedTuple):
+    """The values of one Weyl orbit, shared by every recorded member.
+
+    g is the gcd of the coordinates and gc the integer g * c; g, c, the
+    multiplicity and the norm (beta, beta) are all Weyl invariants.
+    Immutable, because one record serves a whole orbit.
+    """
+
+    g: int
+    gc: int
     mult: int
     kind: str
+    norm: int
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.gc, self.g)
 
 
 class RootTable:
-    """Graded store of every discovered vector with its (c, mult, kind).
+    """Graded store of every discovered vector with its orbit's RootRecord.
 
     Filled in by one run (pingpong and the driver write to it); read-only
-    once compute_all returns.
+    once compute_all returns.  The Peterson sum reads it through candidate
+    buckets, one per height, built on first use; a height at or below the
+    highest built bucket is frozen and takes no further records.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -84,6 +105,8 @@ class RootTable:
         self.entries: dict[Vec, RootRecord] = {}
         self._by_height: dict[int, list[Vec]] = {}
         self._reals_by_height: dict[int, list[Vec]] = {}
+        self._buckets: dict[int, tuple[list[int], list[tuple]]] = {}
+        self._frozen = 0
 
     def __contains__(self, beta: Vec) -> bool:
         return beta in self.entries
@@ -94,15 +117,38 @@ class RootTable:
     def get(self, beta: Vec) -> RootRecord | None:
         return self.entries.get(beta)
 
-    def record(self, beta: Vec, c: Fraction, mult: int, kind: str) -> None:
+    def make_record(self, beta: Vec, c: Fraction | int, mult: int,
+                    kind: str) -> RootRecord:
+        """A new orbit's record for its first member beta.
+
+        Raises NonIntegerMultiplicity if gcd(beta) * c is not an integer.
+        The norm is computed outside the counter.
+        """
+        g = coord_gcd(beta)
+        gc = Fraction(c) * g
+        if gc.denominator != 1:
+            raise NonIntegerMultiplicity(
+                f"gcd * c({render(beta)}) = {gc} is not an integer"
+            )
+        return RootRecord(g, int(gc), mult, kind, killing(self.cm, beta, beta))
+
+    def record(self, beta: Vec, rec: RootRecord) -> None:
+        """Store beta with rec, the record of its orbit (shared, not copied)."""
         h = height(beta)
         if not (0 < h <= self.cap) or any(b < 0 for b in beta):
             raise ValueError(f"cannot record {beta}: not positive within cap")
         if beta in self.entries:
             raise ValueError(f"{beta} already recorded")
-        self.entries[beta] = RootRecord(c=Fraction(c), mult=mult, kind=kind)
+        if h <= self._frozen:
+            raise ValueError(
+                f"cannot record {beta}: height {h} is frozen, the Peterson "
+                f"candidates up to height {self._frozen} are already indexed"
+            )
+        if rec.g != coord_gcd(beta):
+            raise ValueError(f"cannot record {beta} with g = {rec.g}")
+        self.entries[beta] = rec
         self._by_height.setdefault(h, []).append(beta)
-        if kind == KIND_REAL:
+        if rec.kind == KIND_REAL:
             self._reals_by_height.setdefault(h, []).append(beta)
 
     def at_height(self, h: int) -> list[Vec]:
@@ -110,6 +156,31 @@ class RootTable:
 
     def reals_at_height(self, h: int) -> list[Vec]:
         return self._reals_by_height.get(h, [])
+
+    def candidates(self, h: int) -> tuple[list[int], list[tuple]]:
+        """The Peterson candidate bucket of height h; freezes every height <= h.
+
+        One entry (u0, u, g, gc, S u) per vector u of height h with c(u) != 0:
+        every recorded u, and every multiple u = n r (n >= 2) of a recorded
+        real root r, whose g = n and gc = 1.  Entries are sorted by their
+        first coordinate u0, returned beside the list of those keys.
+        """
+        bucket = self._buckets.get(h)
+        if bucket is None:
+            s, entries = self.cm.s, self.entries
+
+            def entry(u, g, gc):
+                return (u[0], u, g, gc, tuple(sum(map(mul, row, u)) for row in s))
+
+            rows = [entry(u, entries[u].g, entries[u].gc) for u in self.at_height(h)]
+            for n in range(2, h + 1):
+                if h % n == 0:
+                    rows.extend(entry(vscale(n, r), n, 1)
+                                for r in self.reals_at_height(h // n))
+            rows.sort(key=itemgetter(0))
+            bucket = self._buckets[h] = ([e[0] for e in rows], rows)
+            self._frozen = max(self._frozen, h)
+        return bucket
 
     def roots(self) -> list[Vec]:
         """All recorded vectors with positive multiplicity, (height, lex)."""
@@ -123,20 +194,35 @@ class RootTable:
     def export_rows(self):
         """One row per recorded vector: coords, height, norm, c, mult, kind.
 
-        Sorted by (height, lex).  Norms are computed outside the counter so
-        exporting never perturbs the cost measurement.
+        Sorted by (height, lex).  Norms come from the records, so exporting
+        evaluates no form and never perturbs the cost measurement.
         """
         for h in sorted(self._by_height):
             for v in sorted(self._by_height[h]):
                 rec = self.entries[v]
+                k = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
                 yield {
                     "coords": v,
                     "height": h,
-                    "norm": killing(self.cm, v, v),
-                    "c": f"{rec.c.numerator}/{rec.c.denominator}",
+                    "norm": rec.norm,
+                    "c": f"{rec.gc // k}/{rec.g // k}",
                     "mult": rec.mult,
                     "kind": rec.kind,
                 }
+
+
+def _gc(table: RootTable, gamma: Vec) -> int:
+    """gcd(gamma) * c(gamma): the record's gc, 1 for an unrecorded multiple
+    of a recorded real root (c = 1/n at gcd n), else 0."""
+    rec = table.entries.get(gamma)
+    if rec is not None:
+        return rec.gc
+    n = coord_gcd(gamma)
+    if n >= 2:
+        base = table.entries.get(vdiv(gamma, n))
+        if base is not None and base.kind == KIND_REAL:
+            return 1
+    return 0
 
 
 def c_value(table: RootTable, gamma: Vec) -> Fraction:
@@ -147,59 +233,70 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
     case c(gamma) = 1/n; everything else is 0.  Pure lookup, no form
     evaluations.
     """
-    rec = table.entries.get(gamma)
-    if rec is not None:
-        return rec.c
-    n = coord_gcd(gamma)
-    if n >= 2:
-        base = table.entries.get(vdiv(gamma, n))
-        if base is not None and base.kind == KIND_REAL:
-            return Fraction(1, n)
-    return Fraction(0)
+    gc = _gc(table, gamma)
+    return Fraction(gc, coord_gcd(gamma)) if gc else Fraction(0)
 
 
-def _pair_candidates(table: RootTable, beta: Vec) -> list[tuple[Vec, Fraction]]:
+def _pair_candidates(table: RootTable, beta: Vec) -> list[tuple]:
     """Candidate lower halves u of decompositions beta = u + v with c(u) != 0.
 
-    Everything with height(u) <= height(beta)/2, u <= beta componentwise:
-    recorded entries straight from the height buckets, plus multiples of
-    recorded real roots with their Lemma-style c = 1/n.
+    Every bucket entry (u0, u, g, gc, S u) with height(u) = h <= height(beta)/2
+    and u <= beta componentwise.  Chamber points are minimal in height within
+    their orbit, so once beta is reached nothing more is recorded at height
+    <= height(beta)/2 and those buckets are final.  In the bucket of height h,
+    u <= beta forces h - (height(beta) - beta0) <= u0 <= beta0, a bisected
+    range that leq then filters (for rank 2 the range is exact).
     """
-    half = height(beta) // 2
-    out: list[tuple[Vec, Fraction]] = []
-    for h in range(1, half + 1):
-        for u in table.at_height(h):
-            if leq(u, beta):
-                out.append((u, table.entries[u].c))
-    for h in range(1, half // 2 + 1):
-        for r in table.reals_at_height(h):
-            n = 2
-            while n * h <= half:
-                u = vscale(n, r)
-                if leq(u, beta):
-                    out.append((u, Fraction(1, n)))
-                n += 1
+    top = height(beta)
+    b0 = beta[0]
+    rest = top - b0
+    out: list[tuple] = []
+    for h in range(1, top // 2 + 1):
+        keys, entries = table.candidates(h)
+        out.extend(
+            e
+            for e in entries[bisect_left(keys, h - rest):bisect_right(keys, b0)]
+            if all(map(le, e[1], beta))  # leq(u, beta), inlined
+        )
     return out
 
 
-def _sum_terms(table: RootTable, beta: Vec, cands) -> Fraction:
-    h = height(beta)
-    cm = table.cm
-    counter = table.counter
-    total = Fraction(0)
-    for u, cu in cands:
-        v = vsub(beta, u)
-        if 2 * height(u) == h:
+def _sum_terms(table: RootTable, beta: Vec, cands) -> tuple[int, int]:
+    """The Peterson sum as an integer fraction (numerator, denominator).
+
+    A pair contributes factor * (u, v) * c(u) * c(v) with c = gc / g, so its
+    integer numerator factor * (u, v) * gc_u * gc_v is accumulated under the
+    denominator g_u * g_v; the few denominators are combined once at the
+    end.  Unordered pairs are visited once and doubled (the self-pair
+    beta = 2u counts once).  One bulk tick counts the forms evaluated.
+    """
+    top = height(beta)
+    entries = table.entries
+    by_den: dict[int, int] = {}
+    forms = 0
+    for _, u, g_u, gc_u, su in cands:
+        v = tuple(map(sub, beta, u))
+        if 2 * sum(u) == top:
             if u > v:
                 continue  # unordered pair already visited from the other side
             factor = 1 if u == v else 2
         else:
             factor = 2
-        cv = c_value(table, v)
-        if not cv:
-            continue
-        total += factor * killing(cm, u, v, counter, PHASE_SUM) * cu * cv
-    return total
+        rec = entries.get(v)
+        if rec is not None:
+            g_v, gc_v = rec.g, rec.gc
+        else:
+            gc_v = _gc(table, v)
+            if not gc_v:
+                continue
+            g_v = gcd(*v)
+        forms += 1
+        den = g_u * g_v
+        term = factor * gc_u * gc_v * sum(map(mul, v, su))
+        by_den[den] = by_den.get(den, 0) + term
+    table.counter.tick(PHASE_SUM, forms)
+    common = lcm(*by_den)
+    return sum(num * (common // den) for den, num in by_den.items()), common
 
 
 def peterson_c(table: RootTable, beta: Vec) -> Fraction:
@@ -207,40 +304,48 @@ def peterson_c(table: RootTable, beta: Vec) -> Fraction:
 
     Every chamber point of smaller height must already have been processed
     and every known root pingponged; the sum then ranges over exactly the
-    decompositions with both c-values nonzero.  Unordered pairs are visited
-    once and doubled (the self-pair beta = 2u counts once), which halves the
-    form count; every evaluated form ticks the counter.
+    decompositions with both c-values nonzero.  Every evaluated form ticks
+    the counter.
     """
     denom = killing(table.cm, beta, beta, table.counter, PHASE_SUM) - rho_pair(
         table.cm, beta
     )
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
-    return _sum_terms(table, beta, _pair_candidates(table, beta)) / denom
+    num, den = _sum_terms(table, beta, _pair_candidates(table, beta))
+    return Fraction(num, den * denom)
 
 
 def mobius_mult(table: RootTable, beta: Vec, c_beta: Fraction | None = None) -> int:
-    """Multiplicity by Moebius inversion along the divisors of gcd(beta):
+    """Multiplicity by Moebius inversion along the divisors of g = gcd(beta):
 
-        m(beta) = sum_{n | gcd beta} mu(n)/n * c(beta/n)
+        m(beta) = sum_{n | g} mu(n)/n * c(beta/n),
 
-    Raises NonIntegerMultiplicity if the result is not a non-negative
-    integer, which would mean an upstream bug.
+    and c(beta/n) = gc(beta/n) * n/g, so g * m(beta) = sum_{n | g} mu(n) gc(beta/n)
+    in integers.  Raises NonIntegerMultiplicity if g * c(beta) is not an
+    integer or the result is not a non-negative integer, which would mean
+    an upstream bug.
     """
-    if c_beta is None:
-        c_beta = c_value(table, beta)
-    total = Fraction(c_beta)
     g = coord_gcd(beta)
-    for n in range(2, g + 1):
-        if g % n == 0:
-            mu = mobius(n)
-            if mu:
-                total += Fraction(mu, n) * c_value(table, vdiv(beta, n))
-    if total.denominator != 1 or total < 0:
+    if c_beta is None:
+        gc = _gc(table, beta)
+    else:
+        gc_frac = Fraction(c_beta) * g
+        if gc_frac.denominator != 1:
+            raise NonIntegerMultiplicity(
+                f"gcd * c({render(beta)}) = {gc_frac} is not an integer"
+            )
+        gc = int(gc_frac)
+    total = 0
+    for n, gamma in divisors(beta):
+        mu = mobius(n)
+        if mu:
+            total += mu * (gc if n == 1 else _gc(table, gamma))
+    if total < 0 or total % g:
         raise NonIntegerMultiplicity(
-            f"m({render(beta)}) = {total} is not a non-negative integer"
+            f"m({render(beta)}) = {Fraction(total, g)} is not a non-negative integer"
         )
-    return int(total)
+    return total // g
 
 
 def compute_all(
@@ -260,7 +365,8 @@ def compute_all(
     """
     table = RootTable(cm, cap, counter)
     for i in range(cm.d):
-        table.record(unit(cm.d, i), Fraction(1), 1, KIND_REAL)
+        alpha = unit(cm.d, i)
+        table.record(alpha, table.make_record(alpha, 1, 1, KIND_REAL))
     for i in range(cm.d):
         pingpong(cm, unit(cm.d, i), cap, table)
 
@@ -268,7 +374,7 @@ def compute_all(
         c = peterson_c(table, beta)
         mult = mobius_mult(table, beta, c)
         if mult > 0:
-            table.record(beta, c, mult, KIND_IMAGINARY)
+            table.record(beta, table.make_record(beta, c, mult, KIND_IMAGINARY))
             pingpong(cm, beta, cap, table)
         elif c:
             raise NonIntegerMultiplicity(

@@ -1,9 +1,10 @@
 """Fundamental reflections and the pingpong orbit closure.
 
 pingpong walks a seed root's Weyl orbit, keeping every image that stays
-positive with height at most the cap, and propagates the seed's
-multiplicity and c-value (both Weyl invariants) into the table.  The table
-is the walk's only visited set, so no recorded vector is reflected twice.
+positive with height at most the cap, and records each new member with the
+seed's own RootRecord: its values are Weyl invariants, so the whole orbit
+shares one record object.  The table is the walk's only visited set, so no
+recorded vector is reflected twice.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> tuple[Vec, ...]:
 
     Walks breadth-first from the seed, forming all d reflections of each
     vector.  A positive image of height <= cap that the table does not hold
-    is recorded with the seed's values and walked in turn; one it holds
-    must carry the same values and is not walked again.  Returns the new
-    records in record order (() on a second run).  The seed must already
-    be recorded.
+    is recorded with the seed's record object and walked in turn; one it
+    holds must carry that record or equal values (E10's simple roots are
+    recorded apart but share one orbit) and is not walked again.  Returns
+    the new records in record order (() on a second run).  The seed must
+    already be recorded.
     """
     record = table.get(seed)
     if record is None:
@@ -61,9 +63,11 @@ def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> tuple[Vec, ...]:
                 continue
             existing = table.get(gamma)
             if existing is None:
-                table.record(gamma, record.c, record.mult, record.kind)
+                table.record(gamma, record)
                 walk.append(gamma)
-            elif (existing.c, existing.mult) != (record.c, record.mult):
+            elif existing is not record and (existing.gc, existing.mult) != (
+                record.gc, record.mult
+            ):
                 raise AssertionError(
                     f"orbit member {gamma} already recorded with conflicting values"
                 )

@@ -213,8 +213,8 @@ def test_criterion_7_property_suite():
     from rootmult import RootTable, pingpong
 
     table = RootTable(cm, 12)
-    table.record((1, 0), Fraction(1), 1, KIND_REAL)
-    table.record((0, 1), Fraction(1), 1, KIND_REAL)
+    table.record((1, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
+    table.record((0, 1), table.make_record((0, 1), 1, 1, KIND_REAL))
     first = pingpong(cm, (1, 0), 12, table)
     size = len(table)
     assert first and len(table) == 2 + len(first)

@@ -1,24 +1,35 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootmult import (
     HeightExceedsCap,
     NonIntegerMultiplicity,
     build,
     c_value,
+    chamber_points,
     compare_tables,
     compute_all,
+    coord_gcd,
     killing,
     mobius_mult,
     naive_compute,
     peterson_c,
+    preset_matrix,
     query_mult,
     reflect,
+    subroots,
 )
-from rootmult.lattice import height, vscale
-from rootmult.peterson import KIND_IMAGINARY, KIND_REAL, RootTable, ZeroDenominator
-from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1
+from rootmult.lattice import height, unit, vscale
+from rootmult.peterson import (
+    KIND_IMAGINARY,
+    KIND_REAL,
+    RootTable,
+    ZeroDenominator,
+    _pair_candidates,
+)
+from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, symmetrizable_gcms
 
 
 def test_peterson_c_affine_null_root():
@@ -35,8 +46,8 @@ def test_peterson_c_hyperbolic_first_chamber_point():
 def test_peterson_c_rejects_zero_denominator():
     cm = build(AFFINE_A1)
     table = RootTable(cm, 5)
-    table.record((1, 0), Fraction(1), 1, KIND_REAL)
-    table.record((0, 1), Fraction(1), 1, KIND_REAL)
+    table.record((1, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
+    table.record((0, 1), table.make_record((0, 1), 1, 1, KIND_REAL))
     # (3,1) satisfies (beta, beta) = 2 (rho, beta) = 8
     with pytest.raises(ZeroDenominator):
         peterson_c(table, (3, 1))
@@ -56,6 +67,57 @@ def test_mobius_mult_raises_on_non_integer():
     table = compute_all(cm, 4)
     with pytest.raises(NonIntegerMultiplicity):
         mobius_mult(table, (2, 2), c_beta=Fraction(1, 3))
+
+
+def test_mobius_mult_raises_on_negative_or_indivisible_sum():
+    table = compute_all(build(AFFINE_A1), 4)
+    # g = 2 at (2, 2) and gc(1, 1) = 1: 2 m = 2 c(2, 2) - 1
+    with pytest.raises(NonIntegerMultiplicity):
+        mobius_mult(table, (2, 2), c_beta=Fraction(0))   # 2 m = -1
+    with pytest.raises(NonIntegerMultiplicity):
+        mobius_mult(table, (2, 2), c_beta=Fraction(1))   # 2 m = 1
+    assert mobius_mult(table, (2, 2), c_beta=Fraction(3, 2)) == 1
+
+
+def test_records_hold_integer_gc_and_orbit_invariants():
+    for grid, cap in ((AFFINE_A1, 16), (HYP3, 30), (AFFINE_A2, 10),
+                      (preset_matrix("e10"), 40)):
+        cm = build(grid)
+        table = compute_all(cm, cap)
+        for v, rec in table.entries.items():
+            assert rec.g == coord_gcd(v)
+            assert rec.c == Fraction(rec.gc, rec.g) == c_value(table, v)
+            assert rec.norm == killing(cm, v, v)
+        for row in table.export_rows():
+            assert row["norm"] == killing(cm, row["coords"], row["coords"])
+    with pytest.raises(AttributeError):
+        rec.mult = 2   # immutable: one record is shared by a whole orbit
+
+
+def test_record_below_a_frozen_height_raises():
+    cm = build(HYP3)
+    table = compute_all(cm, 10)
+    # the chamber point (5, 5) indexed the candidates up to height 5;
+    # (2, 0) is not a root, so only the freeze can refuse it
+    with pytest.raises(ValueError, match="frozen"):
+        table.record((2, 0), table.make_record((2, 0), 1, 1, KIND_IMAGINARY))
+    table.record((6, 0), table.make_record((6, 0), 1, 1, KIND_IMAGINARY))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(), cap=st.integers(1, 12))
+def test_indexed_candidates_equal_a_brute_force_scan(grid, cap):
+    cm = build(grid)
+    table = compute_all(cm, cap)
+    for beta in chamber_points(cm, cap):
+        half = height(beta) // 2
+        cands = _pair_candidates(table, beta)
+        expected = {u for u in subroots(beta)
+                    if height(u) <= half and c_value(table, u)}
+        assert sorted(e[1] for e in cands) == sorted(expected)
+        for _, u, g, gc, su in cands:
+            assert Fraction(gc, g) == c_value(table, u) and g == coord_gcd(u)
+            assert su == tuple(killing(cm, u, unit(cm.d, i)) for i in range(cm.d))
 
 
 def test_c_value_covers_scaled_reals_without_storing():
@@ -189,13 +251,17 @@ def test_c_minus_mult_is_divisor_tail():
 def test_table_record_guards():
     cm = build(A2)
     table = RootTable(cm, 3)
-    table.record((1, 0), Fraction(1), 1, KIND_REAL)
+    table.record((1, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
     with pytest.raises(ValueError):
-        table.record((1, 0), Fraction(1), 1, KIND_REAL)
+        table.record((1, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
+    with pytest.raises(ValueError, match="g = 1"):   # gcd(2, 0) = 2
+        table.record((2, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
+    with pytest.raises(NonIntegerMultiplicity):   # 2 * 1/3 is not an integer
+        table.make_record((2, 0), Fraction(1, 3), 1, KIND_IMAGINARY)
     with pytest.raises(ValueError):
-        table.record((0, 0), Fraction(1), 1, KIND_REAL)
+        table.record((0, 0), table.make_record((0, 0), 1, 1, KIND_REAL))
     with pytest.raises(ValueError):
-        table.record((2, 2), Fraction(1), 1, KIND_REAL)
+        table.record((2, 2), table.make_record((2, 2), 1, 1, KIND_REAL))
     with pytest.raises(ValueError):
         RootTable(cm, 0)
 
@@ -214,14 +280,14 @@ def test_ha1_level_one_multiplicities_are_partition_numbers():
     # Feingold-Frenkel (Math. Ann. 263, 1983): in HA1^(1) a root with
     # beta_2 = 1 has multiplicity p(n), n = 1 - (beta, beta)/2.
     cm = build([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
-    table = compute_all(cm, 40)
+    table = compute_all(cm, 60)
     level_one = [v for v in table.roots() if v[2] == 1]
     depths = [1 - killing(cm, v, v) // 2 for v in level_one]
     p = [1] + [0] * max(depths)
     for part in range(1, len(p)):
         for n in range(part, len(p)):
             p[n] += p[n - part]
-    assert len(level_one) == 122 and max(depths) == 19
+    assert len(level_one) == 223 and max(depths) == 29 and p[29] == 4565
     assert [table.get(v).mult for v in level_one] == [p[n] for n in depths]
 
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from rootmult import RootTable, build, pingpong, reflect
@@ -11,7 +9,7 @@ def fresh_table(cm, cap):
     table = RootTable(cm, cap)
     for i in range(cm.d):
         alpha = tuple(1 if j == i else 0 for j in range(cm.d))
-        table.record(alpha, Fraction(1), 1, KIND_REAL)
+        table.record(alpha, table.make_record(alpha, 1, 1, KIND_REAL))
     return table
 
 
@@ -59,11 +57,30 @@ def test_pingpong_truncates_at_cap():
 def test_pingpong_propagates_seed_values():
     cm = build(HYP3)
     table = fresh_table(cm, 3)
-    table.record((1, 1), Fraction(1), 1, "imaginary")
+    table.record((1, 1), table.make_record((1, 1), 1, 1, "imaginary"))
     assert set(pingpong(cm, (1, 1), 3, table)) == {(2, 1), (1, 2)}
     for member in ((1, 1), (2, 1), (1, 2)):
         rec = table.get(member)
         assert rec.c == 1 and rec.mult == 1 and rec.kind == "imaginary"
+
+
+def test_pingpong_shares_the_seed_record_object():
+    cm = build(HYP3)
+    table = fresh_table(cm, 20)
+    seed = table.get((1, 0))
+    walked = pingpong(cm, (1, 0), 20, table)
+    assert walked == ((1, 3), (8, 3))
+    assert all(table.get(v) is seed for v in walked)
+
+
+def test_pingpong_conflict_is_an_assertion_error():
+    cm = build(AFFINE_A1)
+    table = fresh_table(cm, 4)
+    # (1, 2) is s_1(1, 0); recording it apart with another multiplicity
+    # must stop the walk that reaches it
+    table.record((1, 2), table.make_record((1, 2), 1, 2, KIND_REAL))
+    with pytest.raises(AssertionError, match="conflicting values"):
+        pingpong(cm, (1, 0), 4, table)
 
 
 def test_pingpong_requires_recorded_seed():
