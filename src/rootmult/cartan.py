@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .lattice import Vec
-from .metrics import PHASE_ADHOC, KillingCounter
 
 
 class NotGCM(ValueError):
@@ -120,21 +119,14 @@ def build(entries) -> CartanMatrix:
     return CartanMatrix(d=d, a=a, sym=sym, s=s)
 
 
-def killing(
-    cm: CartanMatrix,
-    beta: Vec,
-    gamma: Vec,
-    counter: KillingCounter | None = None,
-    phase: str = PHASE_ADHOC,
-) -> int:
+def killing(cm: CartanMatrix, beta: Vec, gamma: Vec) -> int:
     """The invariant bilinear form beta^T * S * gamma.
 
-    Ticks the counter exactly once per call when one is supplied.
+    A pure integer function: callers that spend forms count them in bulk,
+    once per phase, on their own KillingCounter.
     """
     if len(beta) != cm.d or len(gamma) != cm.d:
         raise ValueError("dimension mismatch")
-    if counter is not None:
-        counter.tick(phase)
     s = cm.s
     total = 0
     for i, bi in enumerate(beta):

@@ -6,7 +6,8 @@ for a fixed configuration is byte-identical across runs; status chatter
 goes to stderr so stdout stays parseable.
 
 Exit codes: 0 ok, 1 the Hilbert basis asked for by --hilbert-basis could
-not be completed (CapExceeded), 2 unusable input or refused oracle check,
+not be completed (CapExceeded), 2 unusable input, an --out file that cannot
+be opened for writing (checked before the run) or a refused oracle check,
 3 invalid or non-symmetrizable Cartan matrix, 4 oracle disagreement,
 5 internal integrality failure, 141 stdout closed early (128 + SIGPIPE).
 """
@@ -97,7 +98,7 @@ def load_config(argv=None) -> RunConfig:
         try:
             with open(args.matrix, "r", encoding="utf-8") as fh:
                 grid = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ValueError(f"cannot read matrix file: {e}") from None
         if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
             raise ValueError("matrix file must hold a nested array")
@@ -160,13 +161,17 @@ def run(config: RunConfig) -> int:
             return EXIT_CAP_EXCEEDED
 
     try:
-        table = compute_all(cm, config.cap, KillingCounter())
-    except NonIntegerMultiplicity as e:
-        status(f"internal integrality failure: {e}")
-        return EXIT_INTEGRALITY
-
-    stream = open(config.out, "w", encoding="utf-8") if config.out else sys.stdout
+        stream = open(config.out, "w", encoding="utf-8") if config.out else sys.stdout
+    except OSError as e:
+        status(f"cannot write {config.out}: {e.strerror or e}")
+        return EXIT_INPUT
     try:
+        try:
+            table = compute_all(cm, config.cap, KillingCounter())
+        except NonIntegerMultiplicity as e:
+            status(f"internal integrality failure: {e}")
+            return EXIT_INTEGRALITY
+
         if generators is not None:
             stream.write(json.dumps([list(g) for g in generators]) + "\n")
         write_table(table.export_rows(), config.fmt, stream)

@@ -1,9 +1,11 @@
 """Killing-form evaluation counters and the closed-form cost model.
 
-The counter is the cost instrument for the whole engine: one tick per
-bilinear-form evaluation and one per fundamental reflection (a reflection
-is form-equivalent work).  Weyl-vector pairings are linear functionals and
-are deliberately not counted.
+The counter is the cost instrument for the whole engine: it counts every
+bilinear-form evaluation and every fundamental reflection (a reflection is
+form-equivalent work).  The form primitives themselves are pure; each phase
+adds the forms it evaluated in bulk (pingpong once per orbit walk, the
+Peterson sum and the oracle once per lattice point).  Weyl-vector pairings
+are linear functionals and are deliberately not counted.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from math import comb, factorial
 PHASE_PINGPONG = "pingpong"
 PHASE_SUM = "peterson-sum"
 PHASE_ORACLE = "oracle"
-PHASE_ADHOC = "adhoc"
 
 
 class KillingCounter:
@@ -22,7 +23,7 @@ class KillingCounter:
     def __init__(self) -> None:
         self._counts: dict[str, int] = {}
 
-    def tick(self, phase: str = PHASE_ADHOC, n: int = 1) -> None:
+    def tick(self, phase: str, n: int = 1) -> None:
         if n < 0:
             raise ValueError("counter is monotone")
         self._counts[phase] = self._counts.get(phase, 0) + n

@@ -102,9 +102,10 @@ def naive_compute(
 
     Simple roots are seeded with c = 1; every other point gets the full
     recurrence sum over all box subroots, one counted form per subroot plus
-    one for the denominator.  Zero-denominator points take the fallback and
-    are logged in .gaps.  Multiplicities come from the same Moebius
-    inversion the engine uses and must be non-negative integers.
+    one for the denominator, ticked once per point.  Zero-denominator points
+    (the denominator alone) take the fallback and are logged in .gaps.
+    Multiplicities come from the same Moebius inversion the engine uses and
+    must be non-negative integers.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -116,22 +117,23 @@ def naive_compute(
             if beta in simples:
                 cval = Fraction(1)
             else:
-                denom = killing(cm, beta, beta, tab.counter, PHASE_ORACLE) - rho_pair(
-                    cm, beta
-                )
+                forms = 1  # the denominator's (beta, beta)
+                denom = killing(cm, beta, beta) - rho_pair(cm, beta)
                 if denom == 0:
                     cval = _zero_denominator_c(tab, beta)
                     tab.gaps.append(beta)
                 else:
                     total = Fraction(0)
                     for gamma in subroots(beta):
+                        forms += 1
                         rest = tuple(b - g for b, g in zip(beta, gamma))
-                        form = killing(cm, gamma, rest, tab.counter, PHASE_ORACLE)
+                        form = killing(cm, gamma, rest)
                         cg = tab.c[gamma]
                         cr = tab.c[rest]
                         if form and cg and cr:
                             total += form * cg * cr
                     cval = total / denom
+                tab.counter.tick(PHASE_ORACLE, forms)
             tab.c[beta] = cval
 
             m = Fraction(cval)

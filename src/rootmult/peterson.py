@@ -122,7 +122,8 @@ class RootTable:
         """A new orbit's record for its first member beta.
 
         Raises NonIntegerMultiplicity if gcd(beta) * c is not an integer.
-        The norm is computed outside the counter.
+        The norm (beta, beta) is computed outside the counter: it is stored
+        for readers and export, not spent by any phase.
         """
         g = coord_gcd(beta)
         gc = Fraction(c) * g
@@ -268,7 +269,8 @@ def _sum_terms(table: RootTable, beta: Vec, cands) -> tuple[int, int]:
     integer numerator factor * (u, v) * gc_u * gc_v is accumulated under the
     denominator g_u * g_v; the few denominators are combined once at the
     end.  Unordered pairs are visited once and doubled (the self-pair
-    beta = 2u counts once).  One bulk tick counts the forms evaluated.
+    beta = 2u counts once).  One bulk tick counts the forms evaluated here
+    and the denominator's (beta, beta).
     """
     top = height(beta)
     entries = table.entries
@@ -294,7 +296,7 @@ def _sum_terms(table: RootTable, beta: Vec, cands) -> tuple[int, int]:
         den = g_u * g_v
         term = factor * gc_u * gc_v * sum(map(mul, v, su))
         by_den[den] = by_den.get(den, 0) + term
-    table.counter.tick(PHASE_SUM, forms)
+    table.counter.tick(PHASE_SUM, forms + 1)  # + 1: peterson_c's (beta, beta)
     common = lcm(*by_den)
     return sum(num * (common // den) for den, num in by_den.items()), common
 
@@ -305,11 +307,10 @@ def peterson_c(table: RootTable, beta: Vec) -> Fraction:
     Every chamber point of smaller height must already have been processed
     and every known root pingponged; the sum then ranges over exactly the
     decompositions with both c-values nonzero.  Every evaluated form ticks
-    the counter.
+    the counter, in one bulk tick from _sum_terms that includes the
+    denominator's (beta, beta); a zero denominator raises before any tick.
     """
-    denom = killing(table.cm, beta, beta, table.counter, PHASE_SUM) - rho_pair(
-        table.cm, beta
-    )
+    denom = killing(table.cm, beta, beta) - rho_pair(table.cm, beta)
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
     num, den = _sum_terms(table, beta, _pair_candidates(table, beta))

@@ -4,36 +4,29 @@ pingpong walks a seed root's Weyl orbit, keeping every image that stays
 positive with height at most the cap, and records each new member with the
 seed's own RootRecord: its values are Weyl invariants, so the whole orbit
 shares one record object.  The table is the walk's only visited set, so no
-recorded vector is reflected twice.
+recorded vector is reflected twice.  reflect is pure; pingpong counts its
+reflections (one form-equivalent evaluation each) in one bulk tick.
 """
 
 from __future__ import annotations
 
 from .cartan import CartanMatrix
 from .lattice import Vec, height, is_positive
-from .metrics import PHASE_ADHOC, PHASE_PINGPONG, KillingCounter
+from .metrics import PHASE_PINGPONG
 
 
-def reflect(
-    cm: CartanMatrix,
-    i: int,
-    beta: Vec,
-    counter: KillingCounter | None = None,
-    phase: str = PHASE_ADHOC,
-) -> Vec:
+def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
     """Image of beta under the i-th fundamental reflection (0-based index):
 
         s_i(beta) = beta - (sum_j a_ij beta_j) alpha_i
 
-    Counts as one Killing-form-equivalent evaluation when a counter is
-    supplied (the coefficient is a full row pairing).
+    A pure function.  The coefficient is a full row pairing, so a caller
+    that counts forms counts each reflection as one evaluation.
     """
     if not 0 <= i < cm.d:
         raise IndexError(f"reflection index {i} out of range for rank {cm.d}")
     if len(beta) != cm.d:
         raise ValueError("dimension mismatch")
-    if counter is not None:
-        counter.tick(phase)
     coef = sum(aij * bj for aij, bj in zip(cm.a[i], beta) if bj)
     return beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
 
@@ -47,7 +40,8 @@ def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> tuple[Vec, ...]:
     holds must carry that record or equal values (E10's simple roots are
     recorded apart but share one orbit) and is not walked again.  Returns
     the new records in record order (() on a second run).  The seed must
-    already be recorded.
+    already be recorded.  Every walked vector is reflected d times, so the
+    walk ticks d * len(walk) pingpong forms once, at its end.
     """
     record = table.get(seed)
     if record is None:
@@ -58,7 +52,7 @@ def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> tuple[Vec, ...]:
     walk = [seed]
     for beta in walk:  # grows while it is read
         for i in range(cm.d):
-            gamma = reflect(cm, i, beta, table.counter, PHASE_PINGPONG)
+            gamma = reflect(cm, i, beta)
             if height(gamma) > cap or not is_positive(gamma):
                 continue
             existing = table.get(gamma)
@@ -71,4 +65,5 @@ def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> tuple[Vec, ...]:
                 raise AssertionError(
                     f"orbit member {gamma} already recorded with conflicting values"
                 )
+    table.counter.tick(PHASE_PINGPONG, cm.d * len(walk))
     return tuple(walk[1:])

@@ -73,6 +73,8 @@ def test_killing_dimension_mismatch():
     with pytest.raises(ValueError):
         killing(cm, (1, 0, 0), (0, 1))
     with pytest.raises(ValueError):
+        killing(cm, (1, 0), (0, 1, 0))
+    with pytest.raises(ValueError):
         rho_pair(cm, (1,))
 
 
@@ -127,14 +129,3 @@ def test_scaled_form_scales_outputs():
         assert killing(doubled, beta, gamma) == 2 * killing(cm, beta, gamma)
         assert rho_pair(doubled, beta) == 2 * rho_pair(cm, beta)
 
-
-def test_killing_ticks_counter_once_per_call():
-    from rootmult import KillingCounter
-
-    cm = build(HYP3)
-    counter = KillingCounter()
-    killing(cm, (1, 2), (3, 4), counter)
-    killing(cm, (1, 2), (3, 4), counter, phase="peterson-sum")
-    rho_pair(cm, (1, 2))  # linear functional: never counted
-    assert counter.count() == 2
-    assert counter.count("peterson-sum") == 1

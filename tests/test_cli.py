@@ -55,6 +55,25 @@ def test_unreadable_matrix_exits_2(tmp_path):
     run_cli("--matrix", str(path), "--height", "3", "--quiet", expect=2)
     run_cli("--matrix", str(tmp_path / "missing.json"), "--height", "3",
             "--quiet", expect=2)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"[[2,-1],[-1,2]] \xe9")  # not UTF-8
+    proc = run_cli("--matrix", str(latin1), "--height", "3", "--quiet", expect=2)
+    assert proc.stderr.startswith("error: cannot read matrix file:")
+
+
+def test_unwritable_out_exits_2_before_computing(tmp_path, monkeypatch):
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        proc = run_cli("--preset", "a2", "--height", "3", "--out", str(out), expect=2)
+        assert f"cannot write {out}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+    def fail(*args):
+        raise AssertionError("compute_all ran before --out was opened")
+
+    monkeypatch.setattr(cli, "compute_all", fail)
+    assert cli.main(["--preset", "a2", "--height", "3", "--quiet",
+                     "--out", str(tmp_path)]) == cli.EXIT_INPUT
 
 
 def test_not_symmetrizable_exits_3(tmp_path):

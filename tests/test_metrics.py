@@ -9,8 +9,8 @@ from rootmult import (
     k_naive_closed,
     naive_compute,
 )
-from rootmult.metrics import PHASE_PINGPONG, PHASE_SUM
-from helpers import A2, AFFINE_A1, HYP3
+from rootmult.metrics import PHASE_ORACLE, PHASE_PINGPONG, PHASE_SUM
+from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3
 
 
 def test_k_naive_closed_small_values():
@@ -40,15 +40,15 @@ def test_k_naive_closed_rejects_bad_arguments():
 
 def test_counter_tick_and_phases():
     c = KillingCounter()
-    c.tick()
+    c.tick(PHASE_ORACLE)
     c.tick(PHASE_SUM)
     c.tick(PHASE_SUM, 3)
     assert c.count() == 5
     assert c.count(PHASE_SUM) == 4
     assert c.count(PHASE_PINGPONG) == 0
-    assert c.by_phase() == {"adhoc": 1, PHASE_SUM: 4}
+    assert c.by_phase() == {PHASE_ORACLE: 1, PHASE_SUM: 4}
     with pytest.raises(ValueError):
-        c.tick(n=-1)
+        c.tick(PHASE_SUM, -1)
 
 
 def test_measured_ascent_monotone_in_height():
@@ -117,3 +117,36 @@ def test_each_recorded_vector_is_reflected_once(grid, cap):
     counter = KillingCounter()
     table = compute_all(cm, cap, counter)
     assert counter.count(PHASE_PINGPONG) == cm.d * len(table)
+
+
+HA1 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
+
+
+@pytest.mark.parametrize("grid,cap,pingpong,peterson_sum", [
+    (HYP3, 40, 748, 11_622),
+    ("e10", 40, 8_540, 121),
+    ("e11", 30, 7_821, 121),
+    (HA1, 20, 657, 1_120),
+], ids=["hyp-2-3", "e10", "e11", "ha1"])
+def test_compute_all_form_counts_are_pinned(grid, cap, pingpong, peterson_sum):
+    # The form count is the paper's cost model: each phase must add exactly
+    # the forms it evaluated, wherever in the phase the ticks happen.
+    from rootmult import preset_matrix
+
+    cm = build(preset_matrix(grid) if isinstance(grid, str) else grid)
+    counter = KillingCounter()
+    compute_all(cm, cap, counter)
+    assert counter.by_phase() == {PHASE_PINGPONG: pingpong, PHASE_SUM: peterson_sum}
+
+
+@pytest.mark.parametrize("grid,forms,gaps", [
+    (HYP3, 917, 2),
+    (AFFINE_A1, 869, 4),
+    (AFFINE_A2, 7_206, 21),
+], ids=["hyp-2-3", "affine-a1", "affine-a2"])
+def test_oracle_form_counts_are_pinned(grid, forms, gaps):
+    # One form for the denominator of every non-simple lattice point, plus
+    # one per box subroot where the denominator is nonzero.
+    tab = naive_compute(build(grid), 10)
+    assert tab.counter.by_phase() == {PHASE_ORACLE: forms}
+    assert len(tab.gaps) == gaps

@@ -40,6 +40,8 @@ def test_reflect_index_out_of_range():
         reflect(cm, 2, (1, 0))
     with pytest.raises(IndexError):
         reflect(cm, -1, (1, 0))
+    with pytest.raises(ValueError):
+        reflect(cm, 0, (1, 0, 0))
 
 
 def test_pingpong_truncates_at_cap():
