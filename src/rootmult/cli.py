@@ -6,10 +6,12 @@ for a fixed configuration is byte-identical across runs; status chatter
 goes to stderr so stdout stays parseable.
 
 Exit codes: 0 ok, 1 the Hilbert basis asked for by --hilbert-basis could
-not be completed (CapExceeded), 2 unusable input, an --out file that cannot
-be opened for writing (checked before the run) or a refused oracle check,
-3 invalid or non-symmetrizable Cartan matrix, 4 oracle disagreement,
-5 internal integrality failure, 141 stdout closed early (128 + SIGPIPE).
+not be completed (CapExceeded), 2 unusable input, a refused oracle check,
+or output that cannot be written: an --out file that cannot be opened
+(checked before the run) or a write to --out or stdout that fails (a full
+device, say), 3 invalid or non-symmetrizable Cartan matrix, 4 oracle
+disagreement, 5 internal integrality failure, 141 stdout closed early
+(128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
 
 from . import __version__
 from .cartan import NotGCM, NotSymmetrizable, build
@@ -38,19 +40,6 @@ EXIT_BAD_MATRIX = 3
 EXIT_ORACLE_MISMATCH = 4
 EXIT_INTEGRALITY = 5
 EXIT_BROKEN_PIPE = 141
-
-
-@dataclass
-class RunConfig:
-    matrix: list[list[int]]
-    cap: int
-    fmt: str = "csv"
-    out: str | None = None
-    emit_hilbert_basis: bool = False
-    emit_metrics: bool = False
-    oracle_check: bool = False
-    force_oracle: bool = False
-    quiet: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(argv=None) -> RunConfig:
+def load_config(argv=None) -> argparse.Namespace:
+    """The parsed arguments, validated, with the Cartan matrix as args.grid."""
     args = build_parser().parse_args(argv)
     if args.height < 1:
         raise ValueError("--height must be >= 1")
@@ -102,17 +92,8 @@ def load_config(argv=None) -> RunConfig:
             raise ValueError(f"cannot read matrix file: {e}") from None
         if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
             raise ValueError("matrix file must hold a nested array")
-    return RunConfig(
-        matrix=grid,
-        cap=args.height,
-        fmt=args.format,
-        out=args.out,
-        emit_hilbert_basis=args.hilbert_basis,
-        emit_metrics=args.metrics,
-        oracle_check=args.oracle_check,
-        force_oracle=args.force_oracle,
-        quiet=args.quiet,
-    )
+    args.grid = grid
+    return args
 
 
 def write_table(rows, fmt: str, stream) -> None:
@@ -130,13 +111,16 @@ def write_table(rows, fmt: str, stream) -> None:
             stream.write(json.dumps(out, sort_keys=True) + "\n")
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Compute and write the table.  A failed open or write of the output
+    raises OSError, which main turns into an exit code."""
+
     def status(msg):
-        if not config.quiet:
+        if not args.quiet:
             print(msg, file=sys.stderr)
 
     try:
-        cm = build(config.matrix)
+        cm = build(args.grid)
     except (NotGCM, NotSymmetrizable) as e:
         status(f"invalid Cartan matrix: {e}")
         return EXIT_BAD_MATRIX
@@ -144,42 +128,39 @@ def run(config: RunConfig) -> int:
         status(f"unusable matrix data: {e}")
         return EXIT_INPUT
 
-    if config.oracle_check and not config.force_oracle:
-        if cm.d > ORACLE_MAX_RANK or config.cap > ORACLE_MAX_HEIGHT:
+    if args.oracle_check and not args.force_oracle:
+        if cm.d > ORACLE_MAX_RANK or args.height > ORACLE_MAX_HEIGHT:
             status(
                 "oracle check refused: naive cost is prohibitive at "
-                f"d={cm.d}, height={config.cap} (use --force-oracle)"
+                f"d={cm.d}, height={args.height} (use --force-oracle)"
             )
             return EXIT_INPUT
 
     generators = None
-    if config.emit_hilbert_basis:
+    if args.hilbert_basis:
         try:
             generators = hilbert_basis(cm)
         except CapExceeded as e:
             status(f"hilbert basis out of bounds: {e}")
             return EXIT_CAP_EXCEEDED
 
-    try:
-        stream = open(config.out, "w", encoding="utf-8") if config.out else sys.stdout
-    except OSError as e:
-        status(f"cannot write {config.out}: {e.strerror or e}")
-        return EXIT_INPUT
-    try:
+    # Opened before the run, so that an unwritable --out fails at once.
+    out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as stream:
         try:
-            table = compute_all(cm, config.cap, KillingCounter())
+            table = compute_all(cm, args.height, KillingCounter())
         except NonIntegerMultiplicity as e:
             status(f"internal integrality failure: {e}")
             return EXIT_INTEGRALITY
 
         if generators is not None:
             stream.write(json.dumps([list(g) for g in generators]) + "\n")
-        write_table(table.export_rows(), config.fmt, stream)
+        write_table(table.export_rows(), args.format, stream)
 
         exit_code = EXIT_OK
-        if config.oracle_check:
+        if args.oracle_check:
             try:
-                oracle = naive_compute(cm, config.cap)
+                oracle = naive_compute(cm, args.height)
             except NonIntegerMultiplicity as e:
                 status(f"internal integrality failure in oracle: {e}")
                 return EXIT_INTEGRALITY
@@ -192,28 +173,33 @@ def run(config: RunConfig) -> int:
             else:
                 status("oracle check: all values agree")
 
-        if config.emit_metrics:
+        if args.metrics:
             stream.write(json.dumps(counter_snapshot(table), sort_keys=True) + "\n")
-    finally:
-        if config.out:
-            stream.close()
     return exit_code
 
 
 def main(argv=None) -> int:
     try:
-        config = load_config(argv)
+        args = load_config(argv)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        code = run(config)
+        code = run(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away (e.g. `| head`).  Point stdout at devnull so
-        # the flush at interpreter exit cannot raise a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+    except OSError as e:
+        # Only output raises it: the matrix file was read by load_config.
+        # If stdout failed (the reader went away, as with `| head`, or the
+        # device is full), point it at devnull so the flush at interpreter
+        # exit cannot fail a second time.
+        if not args.out:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(e, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        if not args.quiet:
+            print(f"cannot write {args.out or '<stdout>'}: {e.strerror or e}",
+                  file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 

@@ -15,11 +15,14 @@ divisor lattice of gcd(beta), and each new root's orbit is closed by
 pingpong before the next height is processed.
 
 Everything is exact and integer inside.  With g = gcd(beta), g*c(beta) is
-an integer, because c(beta) = sum_{n | g} m(beta/n)/n; a record stores that
-integer gc beside g, and the Peterson sum and the Moebius inversion work on
-those integers.  Fraction appears only at the edges: one per evaluated
-chamber point, and in c_value and RootRecord.c for readers.  No floating
-point is used anywhere in the engine.
+an integer, because c(beta) = sum_{n | g} m(beta/n)/n; compute_all checks
+that once per chamber point, right after the Peterson sum, and from there
+on the table takes only integers: a record stores gc beside g, the
+multiplicity and the norm (beta, beta), which also decides the kind (real
+iff positive).  The Peterson sum and the Moebius inversion work on those
+integers.  Fraction appears only at the edges: one per evaluated chamber
+point, and in c_value and RootRecord.c for readers.  No floating point is
+used anywhere in the engine.
 """
 
 from __future__ import annotations
@@ -79,21 +82,27 @@ class RootRecord(NamedTuple):
     g: int
     gc: int
     mult: int
-    kind: str
     norm: int
 
     @property
     def c(self) -> Fraction:
         return Fraction(self.gc, self.g)
 
+    @property
+    def kind(self) -> str:
+        """Real iff (beta, beta) > 0 (Kac, Prop. 5.10), else imaginary."""
+        return KIND_REAL if self.norm > 0 else KIND_IMAGINARY
+
 
 class RootTable:
     """Graded store of every discovered vector with its orbit's RootRecord.
 
-    Filled in by one run (pingpong and the driver write to it); read-only
-    once compute_all returns.  The Peterson sum reads it through candidate
-    buckets, one per height, built on first use; a height at or below the
-    highest built bucket is frozen and takes no further records.
+    The engine's one state object: it carries the Cartan matrix, the cap
+    and the counter of its run.  Filled in by one run (pingpong and the
+    driver write to it); read-only once compute_all returns.  The Peterson
+    sum reads it through candidate buckets, one per height, built on first
+    use; a height at or below the highest built bucket is frozen and takes
+    no further records.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -104,7 +113,6 @@ class RootTable:
         self.counter = counter if counter is not None else KillingCounter()
         self.entries: dict[Vec, RootRecord] = {}
         self._by_height: dict[int, list[Vec]] = {}
-        self._reals_by_height: dict[int, list[Vec]] = {}
         self._buckets: dict[int, tuple[list[int], list[tuple]]] = {}
         self._frozen = 0
 
@@ -117,21 +125,13 @@ class RootTable:
     def get(self, beta: Vec) -> RootRecord | None:
         return self.entries.get(beta)
 
-    def make_record(self, beta: Vec, c: Fraction | int, mult: int,
-                    kind: str) -> RootRecord:
-        """A new orbit's record for its first member beta.
+    def make_record(self, beta: Vec, gc: int, mult: int) -> RootRecord:
+        """A new orbit's record for its first member beta, given gc = g * c.
 
-        Raises NonIntegerMultiplicity if gcd(beta) * c is not an integer.
         The norm (beta, beta) is computed outside the counter: it is stored
         for readers and export, not spent by any phase.
         """
-        g = coord_gcd(beta)
-        gc = Fraction(c) * g
-        if gc.denominator != 1:
-            raise NonIntegerMultiplicity(
-                f"gcd * c({render(beta)}) = {gc} is not an integer"
-            )
-        return RootRecord(g, int(gc), mult, kind, killing(self.cm, beta, beta))
+        return RootRecord(coord_gcd(beta), gc, mult, killing(self.cm, beta, beta))
 
     def record(self, beta: Vec, rec: RootRecord) -> None:
         """Store beta with rec, the record of its orbit (shared, not copied)."""
@@ -149,22 +149,17 @@ class RootTable:
             raise ValueError(f"cannot record {beta} with g = {rec.g}")
         self.entries[beta] = rec
         self._by_height.setdefault(h, []).append(beta)
-        if rec.kind == KIND_REAL:
-            self._reals_by_height.setdefault(h, []).append(beta)
 
     def at_height(self, h: int) -> list[Vec]:
         return self._by_height.get(h, [])
-
-    def reals_at_height(self, h: int) -> list[Vec]:
-        return self._reals_by_height.get(h, [])
 
     def candidates(self, h: int) -> tuple[list[int], list[tuple]]:
         """The Peterson candidate bucket of height h; freezes every height <= h.
 
         One entry (u0, u, g, gc, S u) per vector u of height h with c(u) != 0:
         every recorded u, and every multiple u = n r (n >= 2) of a recorded
-        real root r, whose g = n and gc = 1.  Entries are sorted by their
-        first coordinate u0, returned beside the list of those keys.
+        real root r (norm > 0), whose g = n and gc = 1.  Entries are sorted
+        by their first coordinate u0, returned beside the list of those keys.
         """
         bucket = self._buckets.get(h)
         if bucket is None:
@@ -177,7 +172,8 @@ class RootTable:
             for n in range(2, h + 1):
                 if h % n == 0:
                     rows.extend(entry(vscale(n, r), n, 1)
-                                for r in self.reals_at_height(h // n))
+                                for r in self.at_height(h // n)
+                                if entries[r].norm > 0)
             rows.sort(key=itemgetter(0))
             bucket = self._buckets[h] = ([e[0] for e in rows], rows)
             self._frozen = max(self._frozen, h)
@@ -221,7 +217,7 @@ def _gc(table: RootTable, gamma: Vec) -> int:
     n = coord_gcd(gamma)
     if n >= 2:
         base = table.entries.get(vdiv(gamma, n))
-        if base is not None and base.kind == KIND_REAL:
+        if base is not None and base.norm > 0:
             return 1
     return 0
 
@@ -317,26 +313,17 @@ def peterson_c(table: RootTable, beta: Vec) -> Fraction:
     return Fraction(num, den * denom)
 
 
-def mobius_mult(table: RootTable, beta: Vec, c_beta: Fraction | None = None) -> int:
+def mobius_mult(table: RootTable, beta: Vec, gc: int) -> int:
     """Multiplicity by Moebius inversion along the divisors of g = gcd(beta):
 
         m(beta) = sum_{n | g} mu(n)/n * c(beta/n),
 
     and c(beta/n) = gc(beta/n) * n/g, so g * m(beta) = sum_{n | g} mu(n) gc(beta/n)
-    in integers.  Raises NonIntegerMultiplicity if g * c(beta) is not an
-    integer or the result is not a non-negative integer, which would mean
-    an upstream bug.
+    in integers, with gc = g * c(beta) given and the smaller terms read from
+    the table.  Raises NonIntegerMultiplicity if the result is not a
+    non-negative integer, which would mean an upstream bug.
     """
     g = coord_gcd(beta)
-    if c_beta is None:
-        gc = _gc(table, beta)
-    else:
-        gc_frac = Fraction(c_beta) * g
-        if gc_frac.denominator != 1:
-            raise NonIntegerMultiplicity(
-                f"gcd * c({render(beta)}) = {gc_frac} is not an integer"
-            )
-        gc = int(gc_frac)
     total = 0
     for n, gamma in divisors(beta):
         mu = mobius(n)
@@ -362,21 +349,28 @@ def compute_all(
     propagates the values.  A chamber point that is not a root must have
     c = 0: a nonzero c would make some beta/n (n >= 2) a root, and that
     vector lies in the chamber too, so it is imaginary and its multiple
-    beta is a root.  A violation raises NonIntegerMultiplicity.
+    beta is a root.  A violation, or a c-value whose g * c is not an
+    integer, raises NonIntegerMultiplicity.
     """
     table = RootTable(cm, cap, counter)
     for i in range(cm.d):
         alpha = unit(cm.d, i)
-        table.record(alpha, table.make_record(alpha, 1, 1, KIND_REAL))
+        table.record(alpha, table.make_record(alpha, 1, 1))
     for i in range(cm.d):
-        pingpong(cm, unit(cm.d, i), cap, table)
+        pingpong(table, unit(cm.d, i))
 
     for beta in chamber_points(cm, cap):
         c = peterson_c(table, beta)
-        mult = mobius_mult(table, beta, c)
+        gc = c * coord_gcd(beta)
+        if gc.denominator != 1:
+            raise NonIntegerMultiplicity(
+                f"gcd * c({render(beta)}) = {gc} is not an integer"
+            )
+        gc = gc.numerator
+        mult = mobius_mult(table, beta, gc)
         if mult > 0:
-            table.record(beta, table.make_record(beta, c, mult, KIND_IMAGINARY))
-            pingpong(cm, beta, cap, table)
+            table.record(beta, table.make_record(beta, gc, mult))
+            pingpong(table, beta)
         elif c:
             raise NonIntegerMultiplicity(
                 f"c({render(beta)}) = {c} but m = 0 at a chamber point"

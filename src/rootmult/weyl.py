@@ -3,9 +3,11 @@
 pingpong walks a seed root's Weyl orbit, keeping every image that stays
 positive with height at most the cap, and records each new member with the
 seed's own RootRecord: its values are Weyl invariants, so the whole orbit
-shares one record object.  The table is the walk's only visited set, so no
-recorded vector is reflected twice.  reflect is pure; pingpong counts its
-reflections (one form-equivalent evaluation each) in one bulk tick.
+shares one record object.  The root table is the walk's one state object:
+it supplies the Cartan matrix, the cap and the counter, and it is the
+walk's only visited set, so no recorded vector is reflected twice.
+reflect is pure; pingpong counts its reflections (one form-equivalent
+evaluation each) in one bulk tick.
 """
 
 from __future__ import annotations
@@ -31,23 +33,22 @@ def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
     return beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
 
 
-def pingpong(cm: CartanMatrix, seed: Vec, cap: int, table) -> tuple[Vec, ...]:
-    """Close the seed's Weyl orbit under the height cap.
+def pingpong(table, seed: Vec) -> tuple[Vec, ...]:
+    """Close the seed's Weyl orbit under the table's height cap.
 
     Walks breadth-first from the seed, forming all d reflections of each
-    vector.  A positive image of height <= cap that the table does not hold
-    is recorded with the seed's record object and walked in turn; one it
-    holds must carry that record or equal values (E10's simple roots are
+    vector.  A positive image of height <= table.cap that the table does not
+    hold is recorded with the seed's record object and walked in turn; one
+    it holds must carry that record or equal values (E10's simple roots are
     recorded apart but share one orbit) and is not walked again.  Returns
     the new records in record order (() on a second run).  The seed must
     already be recorded.  Every walked vector is reflected d times, so the
-    walk ticks d * len(walk) pingpong forms once, at its end.
+    walk ticks d * len(walk) pingpong forms on table.counter once, at its end.
     """
     record = table.get(seed)
     if record is None:
         raise KeyError(f"pingpong seed {seed} is not recorded in the table")
-    if height(seed) > cap:
-        raise ValueError("seed height exceeds the cap")
+    cm, cap = table.cm, table.cap
 
     walk = [seed]
     for beta in walk:  # grows while it is read

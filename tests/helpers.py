@@ -4,11 +4,14 @@ The oracles here deliberately avoid the package's orbit/chamber/engine code
 paths so they can arbitrate: plain box scans and breadth-first closures.
 """
 
+import os
+import sys
 from itertools import product
 from math import lcm
 
 from hypothesis import strategies as st
 
+import rootmult
 from rootmult import build, in_chamber
 from rootmult.lattice import height, is_positive, leq, vsub
 
@@ -20,6 +23,14 @@ HYP3D = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
 RANK1 = [[2]]
 
 ALL_SMALL = [A2, AFFINE_A1, HYP3, AFFINE_A2, HYP3D, RANK1]
+
+# The command line in a subprocess, importing the package from where this
+# test run imported it (pytest's pythonpath setting reaches only pytest).
+ROOTMULT = [sys.executable, "-m", "rootmult"]
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(rootmult.__file__)),
+    os.environ.get("PYTHONPATH"),
+])))
 
 
 def box_points(d, lim):

@@ -9,7 +9,6 @@ table's own other entries before using it.
 import json
 import random
 import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ from rootmult import (
 )
 from rootmult.lattice import height, vscale
 from rootmult.peterson import KIND_REAL
-from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, brute_hilbert_basis
+from helpers import A2, AFFINE_A1, AFFINE_A2, CLI_ENV, HYP3, ROOTMULT, brute_hilbert_basis
 
 
 def verdict(n, label, ok):
@@ -213,19 +212,19 @@ def test_criterion_7_property_suite():
     from rootmult import RootTable, pingpong
 
     table = RootTable(cm, 12)
-    table.record((1, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
-    table.record((0, 1), table.make_record((0, 1), 1, 1, KIND_REAL))
-    first = pingpong(cm, (1, 0), 12, table)
+    table.record((1, 0), table.make_record((1, 0), 1, 1))
+    table.record((0, 1), table.make_record((0, 1), 1, 1))
+    first = pingpong(table, (1, 0))
     size = len(table)
     assert first and len(table) == 2 + len(first)
-    assert pingpong(cm, (1, 0), 12, table) == ()
+    assert pingpong(table, (1, 0)) == ()
     assert len(table) == size
 
     # byte-identical repeated CLI runs
-    args = [sys.executable, "-m", "rootmult", "--preset", "hyp-2-3", "--height",
-            "12", "--format", "csv", "--hilbert-basis", "--metrics", "--quiet"]
-    out1 = subprocess.run(args, capture_output=True).stdout
-    out2 = subprocess.run(args, capture_output=True).stdout
+    args = [*ROOTMULT, "--preset", "hyp-2-3", "--height", "12", "--format",
+            "csv", "--hilbert-basis", "--metrics", "--quiet"]
+    out1 = subprocess.run(args, capture_output=True, env=CLI_ENV).stdout
+    out2 = subprocess.run(args, capture_output=True, env=CLI_ENV).stdout
     assert out1 == out2 and out1
     report = json.loads(out1.splitlines()[-1])
     assert report["k_ascent"] == k_ascent_measured_from(report)

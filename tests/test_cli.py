@@ -1,19 +1,18 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from rootmult import build, chamber, cli, preset_matrix
-from helpers import brute_real_roots
+from helpers import CLI_ENV, ROOTMULT, brute_real_roots
 
 
 def run_cli(*args, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "rootmult", *args],
-        capture_output=True,
-        text=True,
-    )
+    proc = subprocess.run([*ROOTMULT, *args], capture_output=True, text=True,
+                          env=CLI_ENV)
     assert proc.returncode == expect, (proc.returncode, proc.stderr)
     return proc
 
@@ -74,6 +73,44 @@ def test_unwritable_out_exits_2_before_computing(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "compute_all", fail)
     assert cli.main(["--preset", "a2", "--height", "3", "--quiet",
                      "--out", str(tmp_path)]) == cli.EXIT_INPUT
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("preset,height", [("a2", 3), ("e10", 30)])
+def test_failed_write_exits_2_without_traceback(preset, height):
+    # a2@3 (88 bytes) fails only when the output is flushed at the end,
+    # e10@30 (16 KB) already while the table is written.  stdout stays buffered, as
+    # it is by default, so that data the failed flush left behind would
+    # make the flush at interpreter exit fail again (exit 120).
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    args = [*ROOTMULT, "--preset", preset, "--height", str(height)]
+    proc = subprocess.run(args + ["--out", "/dev/full"], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == cli.EXIT_INPUT == 2
+    assert proc.stderr.startswith("cannot write /dev/full: ")
+    assert proc.stdout == ""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(args, stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env)
+    assert proc.returncode == cli.EXIT_INPUT
+    # one line: no traceback, and no second failure at interpreter exit
+    assert proc.stderr.startswith("cannot write <stdout>: ")
+    assert proc.stderr.count("\n") == 1
+
+
+# The CSV digests BENCHMARK.json records for its deep-rank2 and wide-e10
+# workloads: any drift in the exported table shows here.
+@pytest.mark.parametrize("preset,height,digest", [
+    ("hyp-2-3", 100, "7bc5c849804507c4f49b4e14a3155ff1b314d3db6e72911d137158c7acb45922"),
+    ("e10", 80, "57387f61c649a144b3cad111a1e5f6bd452e9c421ba92b9af0491c790ffeaa73"),
+])
+def test_csv_bytes_are_pinned(preset, height, digest):
+    proc = subprocess.run(
+        [*ROOTMULT, "--preset", preset, "--height", str(height), "--quiet"],
+        capture_output=True, env=CLI_ENV,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_not_symmetrizable_exits_3(tmp_path):
@@ -172,9 +209,10 @@ def test_closed_stdout_exits_141_without_traceback():
     # e10 to height 60 writes about 160 KB, more than a pipe buffer holds,
     # so the writer is still blocked when the reader goes away.
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rootmult", "--preset", "e10", "--height", "60"],
+        [*ROOTMULT, "--preset", "e10", "--height", "60"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CLI_ENV,
     )
     assert proc.stdout.readline() == b"coords,height,norm,c,mult,kind\n"
     proc.stdout.close()

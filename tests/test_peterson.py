@@ -21,6 +21,7 @@ from rootmult import (
     reflect,
     subroots,
 )
+from rootmult import peterson
 from rootmult.lattice import height, unit, vscale
 from rootmult.peterson import (
     KIND_IMAGINARY,
@@ -46,8 +47,8 @@ def test_peterson_c_hyperbolic_first_chamber_point():
 def test_peterson_c_rejects_zero_denominator():
     cm = build(AFFINE_A1)
     table = RootTable(cm, 5)
-    table.record((1, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
-    table.record((0, 1), table.make_record((0, 1), 1, 1, KIND_REAL))
+    table.record((1, 0), table.make_record((1, 0), 1, 1))
+    table.record((0, 1), table.make_record((0, 1), 1, 1))
     # (3,1) satisfies (beta, beta) = 2 (rho, beta) = 8
     with pytest.raises(ZeroDenominator):
         peterson_c(table, (3, 1))
@@ -59,24 +60,30 @@ def test_mobius_mult_examples():
     assert table.get((2, 2)).mult == 1       # 3/2 - 1/2
     assert table.get((1, 1)).mult == 1       # gcd 1: m = c
     assert table.get((3, 3)).mult == 1
-    assert table.get((3, 3)).c == mobius_mult(table, (3, 3)) + Fraction(1, 3)
+    gc = table.get((3, 3)).gc
+    assert table.get((3, 3)).c == mobius_mult(table, (3, 3), gc) + Fraction(1, 3)
 
 
-def test_mobius_mult_raises_on_non_integer():
-    cm = build(AFFINE_A1)
-    table = compute_all(cm, 4)
-    with pytest.raises(NonIntegerMultiplicity):
-        mobius_mult(table, (2, 2), c_beta=Fraction(1, 3))
+def test_non_integer_gc_at_a_chamber_point_raises(monkeypatch):
+    # g = 2 at affine-a1's (2, 2): c = 1/3 would make g * c = 2/3
+    original = peterson.peterson_c
+
+    def third_at_2_2(table, beta):
+        return Fraction(1, 3) if beta == (2, 2) else original(table, beta)
+
+    monkeypatch.setattr("rootmult.peterson.peterson_c", third_at_2_2)
+    with pytest.raises(NonIntegerMultiplicity, match="not an integer"):
+        compute_all(build(AFFINE_A1), 4)
 
 
 def test_mobius_mult_raises_on_negative_or_indivisible_sum():
     table = compute_all(build(AFFINE_A1), 4)
-    # g = 2 at (2, 2) and gc(1, 1) = 1: 2 m = 2 c(2, 2) - 1
+    # g = 2 at (2, 2) and gc(1, 1) = 1: 2 m = gc(2, 2) - 1
     with pytest.raises(NonIntegerMultiplicity):
-        mobius_mult(table, (2, 2), c_beta=Fraction(0))   # 2 m = -1
+        mobius_mult(table, (2, 2), 0)   # 2 m = -1
     with pytest.raises(NonIntegerMultiplicity):
-        mobius_mult(table, (2, 2), c_beta=Fraction(1))   # 2 m = 1
-    assert mobius_mult(table, (2, 2), c_beta=Fraction(3, 2)) == 1
+        mobius_mult(table, (2, 2), 2)   # 2 m = 1
+    assert mobius_mult(table, (2, 2), 3) == 1
 
 
 def test_records_hold_integer_gc_and_orbit_invariants():
@@ -100,8 +107,8 @@ def test_record_below_a_frozen_height_raises():
     # the chamber point (5, 5) indexed the candidates up to height 5;
     # (2, 0) is not a root, so only the freeze can refuse it
     with pytest.raises(ValueError, match="frozen"):
-        table.record((2, 0), table.make_record((2, 0), 1, 1, KIND_IMAGINARY))
-    table.record((6, 0), table.make_record((6, 0), 1, 1, KIND_IMAGINARY))
+        table.record((2, 0), table.make_record((2, 0), 1, 1))
+    table.record((6, 0), table.make_record((6, 0), 1, 1))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -251,17 +258,15 @@ def test_c_minus_mult_is_divisor_tail():
 def test_table_record_guards():
     cm = build(A2)
     table = RootTable(cm, 3)
-    table.record((1, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
+    table.record((1, 0), table.make_record((1, 0), 1, 1))
     with pytest.raises(ValueError):
-        table.record((1, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
+        table.record((1, 0), table.make_record((1, 0), 1, 1))
     with pytest.raises(ValueError, match="g = 1"):   # gcd(2, 0) = 2
-        table.record((2, 0), table.make_record((1, 0), 1, 1, KIND_REAL))
-    with pytest.raises(NonIntegerMultiplicity):   # 2 * 1/3 is not an integer
-        table.make_record((2, 0), Fraction(1, 3), 1, KIND_IMAGINARY)
+        table.record((2, 0), table.make_record((1, 0), 1, 1))
     with pytest.raises(ValueError):
-        table.record((0, 0), table.make_record((0, 0), 1, 1, KIND_REAL))
+        table.record((0, 0), table.make_record((0, 0), 1, 1))
     with pytest.raises(ValueError):
-        table.record((2, 2), table.make_record((2, 2), 1, 1, KIND_REAL))
+        table.record((2, 2), table.make_record((2, 2), 1, 1))
     with pytest.raises(ValueError):
         RootTable(cm, 0)
 

@@ -1,7 +1,7 @@
 import pytest
 
 from rootmult import RootTable, build, pingpong, reflect
-from rootmult.peterson import KIND_REAL, compute_all
+from rootmult.peterson import compute_all
 from helpers import A2, AFFINE_A1, HYP3, AFFINE_A2, HYP3D, brute_real_roots
 
 
@@ -9,7 +9,7 @@ def fresh_table(cm, cap):
     table = RootTable(cm, cap)
     for i in range(cm.d):
         alpha = tuple(1 if j == i else 0 for j in range(cm.d))
-        table.record(alpha, table.make_record(alpha, 1, 1, KIND_REAL))
+        table.record(alpha, table.make_record(alpha, 1, 1))
     return table
 
 
@@ -48,19 +48,19 @@ def test_pingpong_truncates_at_cap():
     cm = build(HYP3)
     table = fresh_table(cm, 4)
     # next orbit element (8,3) has height 11
-    assert pingpong(cm, (1, 0), 4, table) == ((1, 3),)
+    assert pingpong(table, (1, 0)) == ((1, 3),)
     assert set(table.entries) == {(1, 0), (0, 1), (1, 3)}
 
     table = fresh_table(cm, 1)
-    assert pingpong(cm, (1, 0), 1, table) == ()
+    assert pingpong(table, (1, 0)) == ()
     assert set(table.entries) == {(1, 0), (0, 1)}
 
 
 def test_pingpong_propagates_seed_values():
     cm = build(HYP3)
     table = fresh_table(cm, 3)
-    table.record((1, 1), table.make_record((1, 1), 1, 1, "imaginary"))
-    assert set(pingpong(cm, (1, 1), 3, table)) == {(2, 1), (1, 2)}
+    table.record((1, 1), table.make_record((1, 1), 1, 1))
+    assert set(pingpong(table, (1, 1))) == {(2, 1), (1, 2)}
     for member in ((1, 1), (2, 1), (1, 2)):
         rec = table.get(member)
         assert rec.c == 1 and rec.mult == 1 and rec.kind == "imaginary"
@@ -70,7 +70,7 @@ def test_pingpong_shares_the_seed_record_object():
     cm = build(HYP3)
     table = fresh_table(cm, 20)
     seed = table.get((1, 0))
-    walked = pingpong(cm, (1, 0), 20, table)
+    walked = pingpong(table, (1, 0))
     assert walked == ((1, 3), (8, 3))
     assert all(table.get(v) is seed for v in walked)
 
@@ -80,25 +80,25 @@ def test_pingpong_conflict_is_an_assertion_error():
     table = fresh_table(cm, 4)
     # (1, 2) is s_1(1, 0); recording it apart with another multiplicity
     # must stop the walk that reaches it
-    table.record((1, 2), table.make_record((1, 2), 1, 2, KIND_REAL))
+    table.record((1, 2), table.make_record((1, 2), 1, 2))
     with pytest.raises(AssertionError, match="conflicting values"):
-        pingpong(cm, (1, 0), 4, table)
+        pingpong(table, (1, 0))
 
 
 def test_pingpong_requires_recorded_seed():
     cm = build(HYP3)
     table = fresh_table(cm, 5)
     with pytest.raises(KeyError):
-        pingpong(cm, (1, 1), 5, table)
+        pingpong(table, (1, 1))
 
 
 def test_pingpong_idempotent():
     cm = build(AFFINE_A1)
     table = fresh_table(cm, 9)
-    first = pingpong(cm, (1, 0), 9, table)
+    first = pingpong(table, (1, 0))
     size = len(table)
     assert first and len(table) == 2 + len(first)
-    assert pingpong(cm, (1, 0), 9, table) == ()
+    assert pingpong(table, (1, 0)) == ()
     assert len(table) == size
 
 
@@ -109,7 +109,7 @@ def test_real_roots_match_breadth_first_closure(grid, cap):
     table = fresh_table(cm, cap)
     for i in range(cm.d):
         alpha = tuple(1 if j == i else 0 for j in range(cm.d))
-        pingpong(cm, alpha, cap, table)
+        pingpong(table, alpha)
     recorded = set(table.entries)
     assert recorded == brute_real_roots(cm, cap)
 
