@@ -160,7 +160,7 @@ def run(args: argparse.Namespace) -> int:
         exit_code = EXIT_OK
         if args.oracle_check:
             try:
-                oracle = naive_compute(cm, args.height)
+                oracle = naive_compute(cm, args.height, table.counter)
             except NonIntegerMultiplicity as e:
                 status(f"internal integrality failure in oracle: {e}")
                 return EXIT_INTEGRALITY

@@ -1,11 +1,13 @@
 """Killing-form evaluation counters and the closed-form cost model.
 
 The counter is the cost instrument for the whole engine: it counts every
-bilinear-form evaluation and every fundamental reflection (a reflection is
-form-equivalent work).  The form primitives themselves are pure; each phase
-adds the forms it evaluated in bulk (pingpong once per orbit walk, the
-Peterson sum and the oracle once per lattice point).  Weyl-vector pairings
-are linear functionals and are deliberately not counted.
+bilinear-form evaluation, and for the orbit closure the cost model's d
+fundamental reflections per walked vector (a reflection is form-equivalent
+work), however few images the walk actually builds.  The form primitives
+themselves are pure; each phase adds its forms in bulk (pingpong once per
+orbit walk, the Peterson sum and the oracle once per lattice point).
+Weyl-vector pairings are linear functionals and are deliberately not
+counted.
 """
 
 from __future__ import annotations

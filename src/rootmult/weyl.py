@@ -6,14 +6,24 @@ seed's own RootRecord: its values are Weyl invariants, so the whole orbit
 shares one record object.  The root table is the walk's one state object:
 it supplies the Cartan matrix, the cap and the counter, and it is the
 walk's only visited set, so no recorded vector is reflected twice.
-reflect is pure; pingpong counts its reflections (one form-equivalent
-evaluation each) in one bulk tick.
+
+The walk carries the pairing vector p = A beta (p_i = <beta, alpha_i^vee>)
+of each vector it has yet to expand.  The reflection s_i changes only
+coordinate i, by p_i, so one coordinate decides whether its image is
+positive and within the cap, and a new image's pairing vector is
+p - p_i * (column i of A).  reflect is the pure single-step API and the
+tests' arbiter for the walk; pingpong does not call it.  The counter
+charges the cost model's d reflections (one form-equivalent evaluation
+each) per walked vector, in one bulk tick per walk.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from operator import mul
+
 from .cartan import CartanMatrix
-from .lattice import Vec, height, is_positive
+from .lattice import Vec
 from .metrics import PHASE_PINGPONG
 
 
@@ -22,8 +32,8 @@ def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
 
         s_i(beta) = beta - (sum_j a_ij beta_j) alpha_i
 
-    A pure function.  The coefficient is a full row pairing, so a caller
-    that counts forms counts each reflection as one evaluation.
+    A pure function and the public single-step API; the tests check
+    pingpong's walk against a plain walk of it.
     """
     if not 0 <= i < cm.d:
         raise IndexError(f"reflection index {i} out of range for rank {cm.d}")
@@ -36,30 +46,45 @@ def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
 def pingpong(table, seed: Vec) -> tuple[Vec, ...]:
     """Close the seed's Weyl orbit under the table's height cap.
 
-    Walks breadth-first from the seed, forming all d reflections of each
-    vector.  A positive image of height <= table.cap that the table does not
-    hold is recorded with the seed's record object and walked in turn; one
-    it holds must carry that record or equal values (E10's simple roots are
-    recorded apart but share one orbit) and is not walked again.  Returns
-    the new records in record order (() on a second run).  The seed must
-    already be recorded.  Every walked vector is reflected d times, so the
-    walk ticks d * len(walk) pingpong forms on table.counter once, at its end.
+    Walks breadth-first from the seed.  A walked vector beta of height h
+    is expanded with its pairing vector p, computed for the seed and
+    carried for every other vector.  s_i(beta) replaces beta_i by
+    beta_i - p_i, so it is beta itself when p_i = 0, above the cap when
+    h - p_i > cap, and not positive when beta_i < p_i.  Any other image
+    that the table does not hold is recorded with the seed's record object
+    and walked in turn with p - p_i * (column i of A); one it holds must
+    carry that record or equal values (E10's simple roots are recorded
+    apart but share one orbit) and is not walked again.  Returns the new
+    records in record order (() on a second run).  The seed must already be
+    recorded.
+
+    The cost model charges d reflections per walked vector, so the walk
+    ticks d * len(walk) pingpong forms on table.counter once, at its end.
     """
     record = table.get(seed)
     if record is None:
         raise KeyError(f"pingpong seed {seed} is not recorded in the table")
-    cm, cap = table.cm, table.cap
+    cm, cap, get = table.cm, table.cap, table.entries.get
+    columns = tuple(zip(*cm.a))
 
     walk = [seed]
+    # Pairing vectors of the walked vectors not yet expanded, in walk order:
+    # each is dropped once its vector is expanded, so only the frontier's
+    # are held, and as tuples, which are smaller than lists.
+    pairings = deque([tuple(sum(map(mul, row, seed)) for row in cm.a)])
     for beta in walk:  # grows while it is read
-        for i in range(cm.d):
-            gamma = reflect(cm, i, beta)
-            if height(gamma) > cap or not is_positive(gamma):
+        h, p = sum(beta), pairings.popleft()
+        for i, p_i in enumerate(p):
+            if p_i == 0 or h - p_i > cap or beta[i] < p_i:
                 continue
-            existing = table.get(gamma)
+            gamma = beta[:i] + (beta[i] - p_i,) + beta[i + 1 :]
+            existing = get(gamma)
             if existing is None:
                 table.record(gamma, record)
                 walk.append(gamma)
+                pairings.append(
+                    tuple([pj - p_i * aji for pj, aji in zip(p, columns[i])])
+                )
             elif existing is not record and (existing.gc, existing.mult) != (
                 record.gc, record.mult
             ):

@@ -12,7 +12,7 @@ from math import lcm
 from hypothesis import strategies as st
 
 import rootmult
-from rootmult import build, in_chamber
+from rootmult import build, in_chamber, reflect
 from rootmult.lattice import height, is_positive, leq, vsub
 
 A2 = [[2, -1], [-1, 2]]
@@ -79,6 +79,20 @@ def brute_real_roots(cm, cap):
                 seen.add(image)
                 frontier.append(image)
     return seen
+
+
+def reflect_walk(cm, cap, seed, seen):
+    """The images a breadth-first walk from seed adds to seen, in visit order:
+    every positive image of height <= cap not yet in seen, taking all d
+    reflections of each walked vector through reflect."""
+    walk = [seed]
+    for beta in walk:
+        for i in range(cm.d):
+            image = reflect(cm, i, beta)
+            if image not in seen and is_positive(image) and height(image) <= cap:
+                seen.add(image)
+                walk.append(image)
+    return tuple(walk[1:])
 
 
 @st.composite

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from rootmult import build, chamber, cli, preset_matrix
+from rootmult import build, chamber, cli, naive_compute, preset_matrix
 from helpers import CLI_ENV, ROOTMULT, brute_real_roots
 
 
@@ -32,6 +32,20 @@ def test_affine_csv_with_oracle_check():
     assert lines[0] == "coords,height,norm,c,mult,kind"
     assert len(lines) == 1 + 6
     assert "oracle check: all values agree" in proc.stderr
+
+
+def test_oracle_check_metrics_report_the_oracle_forms(capsys):
+    def report(*flags):
+        assert cli.main(["--preset", "affine-a1", "--height", "4", "--quiet",
+                         "--metrics", *flags]) == 0
+        return json.loads(capsys.readouterr().out.splitlines()[-1])
+
+    checked, plain = report("--oracle-check"), report()
+    forms = naive_compute(build(preset_matrix("affine-a1")), 4).counter.count("oracle")
+    assert checked["oracle"] == checked["phases"]["oracle"] == forms > 0
+    assert plain["oracle"] is None
+    assert checked["k_ascent"] == plain["k_ascent"]
+    assert checked["ratio"] == plain["ratio"]
 
 
 def test_matrix_file_roundtrip(tmp_path):
@@ -99,10 +113,12 @@ def test_failed_write_exits_2_without_traceback(preset, height):
 
 
 # The CSV digests BENCHMARK.json records for its deep-rank2 and wide-e10
-# workloads: any drift in the exported table shows here.
+# workloads, and e10@100 (66,514 rows), whose orbits reach heights wide-e10
+# does not: any drift in the exported table shows here.
 @pytest.mark.parametrize("preset,height,digest", [
     ("hyp-2-3", 100, "7bc5c849804507c4f49b4e14a3155ff1b314d3db6e72911d137158c7acb45922"),
     ("e10", 80, "57387f61c649a144b3cad111a1e5f6bd452e9c421ba92b9af0491c790ffeaa73"),
+    ("e10", 100, "f23e666333c5075c0f9da1daed088887e1bb82d3114e0e44a0b8f1decabfa7a8"),
 ])
 def test_csv_bytes_are_pinned(preset, height, digest):
     proc = subprocess.run(

@@ -125,9 +125,10 @@ HA1 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
 @pytest.mark.parametrize("grid,cap,pingpong,peterson_sum", [
     (HYP3, 40, 748, 11_622),
     ("e10", 40, 8_540, 121),
+    ("e10", 100, 665_140, 3_775),
     ("e11", 30, 7_821, 121),
     (HA1, 20, 657, 1_120),
-], ids=["hyp-2-3", "e10", "e11", "ha1"])
+], ids=["hyp-2-3", "e10", "e10-100", "e11", "ha1"])
 def test_compute_all_form_counts_are_pinned(grid, cap, pingpong, peterson_sum):
     # The form count is the paper's cost model: each phase must add exactly
     # the forms it evaluated, wherever in the phase the ticks happen.

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootmult import RootTable, build, pingpong, reflect
+from rootmult.metrics import PHASE_PINGPONG
 from rootmult.peterson import compute_all
-from helpers import A2, AFFINE_A1, HYP3, AFFINE_A2, HYP3D, brute_real_roots
+from helpers import (
+    A2, AFFINE_A1, HYP3, AFFINE_A2, HYP3D, brute_real_roots, reflect_walk,
+    symmetrizable_gcms,
+)
 
 
 def fresh_table(cm, cap):
@@ -102,16 +107,36 @@ def test_pingpong_idempotent():
     assert len(table) == size
 
 
-@pytest.mark.parametrize("grid,cap", [(A2, 8), (AFFINE_A1, 9), (HYP3, 12),
-                                      (AFFINE_A2, 8), (HYP3D, 8)])
-def test_real_roots_match_breadth_first_closure(grid, cap):
+def assert_walks_match_reflect_walk(grid, cap):
+    # Each simple root's walk returns what a plain walk of reflect adds, in
+    # its order, for d forms per walked vector; together they record
+    # exactly the real roots.
     cm = build(grid)
     table = fresh_table(cm, cap)
+    seen = set(table.entries)
     for i in range(cm.d):
         alpha = tuple(1 if j == i else 0 for j in range(cm.d))
-        pingpong(table, alpha)
-    recorded = set(table.entries)
-    assert recorded == brute_real_roots(cm, cap)
+        before = table.counter.count(PHASE_PINGPONG)
+        walked = pingpong(table, alpha)
+        assert walked == reflect_walk(cm, cap, alpha, seen)
+        assert table.counter.count(PHASE_PINGPONG) - before == cm.d * (1 + len(walked))
+    assert set(table.entries) == seen == brute_real_roots(cm, cap)
+
+
+# The non-symmetric matrices tell the column of A, which updates the
+# carried pairing vector, from the row, which computes it.
+@pytest.mark.parametrize("grid,cap", [(A2, 8), (AFFINE_A1, 9), (HYP3, 12),
+                                      (AFFINE_A2, 8), (HYP3D, 8),
+                                      ([[2, -1], [-4, 2]], 40),
+                                      ([[2, -2], [-3, 2]], 40)])
+def test_real_roots_match_breadth_first_closure(grid, cap):
+    assert_walks_match_reflect_walk(grid, cap)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(), cap=st.integers(1, 20))
+def test_pingpong_equals_reflect_walk(grid, cap):
+    assert_walks_match_reflect_walk(grid, cap)
 
 
 def test_orbit_members_share_stored_values():
