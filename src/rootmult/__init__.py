@@ -8,7 +8,15 @@ is counted so the measured cost can be compared against the closed-form
 cost of the naive full-lattice algorithm.
 """
 
-from .cartan import CartanMatrix, NotGCM, NotSymmetrizable, build, killing, rho_pair
+from .cartan import (
+    CartanMatrix,
+    NotGCM,
+    NotSymmetrizable,
+    automorphisms,
+    build,
+    killing,
+    rho_pair,
+)
 from .chamber import (
     CapExceeded,
     chamber_points,
@@ -45,6 +53,7 @@ __all__ = [
     "CartanMatrix",
     "NotGCM",
     "NotSymmetrizable",
+    "automorphisms",
     "build",
     "killing",
     "rho_pair",

@@ -119,6 +119,50 @@ def build(entries) -> CartanMatrix:
     return CartanMatrix(d=d, a=a, sym=sym, s=s)
 
 
+def automorphisms(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
+    """A strong generating set of the diagram automorphisms of cm.
+
+    A diagram automorphism is a node permutation sigma with
+    s[sigma i][sigma j] == s[i][j]; it preserves the diagonal 2 d_i, hence A
+    as well.  For each node k and each node j > k that some automorphism
+    fixing 0..k-1 sends k to, one such automorphism is returned, as the
+    tuple (sigma 0, ..., sigma (d-1)): at most d(d-1)/2 permutations, and
+    the empty tuple when the group is trivial.  Together they generate the
+    whole group, which is never enumerated.
+
+    Each is found by backtracking on the nodes in order, where node i may
+    go to j only if their diagonal entries and sorted rows agree and
+    s[j][sigma k] == s[i][k] for every node k already assigned.
+    """
+    s, d = cm.s, cm.d
+    shape = [(s[i][i], sorted(s[i])) for i in range(d)]
+
+    def fits(sigma: list[int], j: int) -> bool:
+        """Whether sigma, the images of nodes 0..i-1, extends by i -> j."""
+        i = len(sigma)
+        return (shape[j] == shape[i] and j not in sigma
+                and all(s[j][sk] == s[i][k] for k, sk in enumerate(sigma)))
+
+    def complete(sigma: list[int]) -> tuple[int, ...] | None:
+        if len(sigma) == d:
+            return tuple(sigma)
+        for j in range(d):
+            if fits(sigma, j):
+                found = complete(sigma + [j])
+                if found is not None:
+                    return found
+        return None
+
+    gens = []
+    for k in range(d):
+        fixed = list(range(k))
+        for j in range(k + 1, d):
+            sigma = complete(fixed + [j]) if fits(fixed, j) else None
+            if sigma is not None:
+                gens.append(sigma)
+    return tuple(gens)
+
+
 def killing(cm: CartanMatrix, beta: Vec, gamma: Vec) -> int:
     """The invariant bilinear form beta^T * S * gamma.
 

@@ -14,6 +14,15 @@ ever being stored.  Multiplicities follow by Moebius inversion over the
 divisor lattice of gcd(beta), and each new root's orbit is closed by
 pingpong before the next height is processed.
 
+A diagram automorphism sigma (a node permutation preserving S, see
+cartan.automorphisms) maps the chamber to itself and preserves the form,
+rho and height, so c(sigma beta) = c(beta) (Kac, Infinite-dimensional Lie
+algebras, 4.19 and 11.13).  The Peterson sum is therefore evaluated once
+per orbit of chamber points under these permutations, at the orbit's
+first point in (height, lex) order, and its value is reused at the other
+points; every point still gets its own Moebius inversion, record and
+pingpong, since the images lie in different Weyl orbits.
+
 Everything is exact and integer inside.  With g = gcd(beta), g*c(beta) is
 an integer, because c(beta) = sum_{n | g} m(beta/n)/n; compute_all checks
 that once per chamber point, right after the Peterson sum, and from there
@@ -33,7 +42,7 @@ from math import gcd, lcm
 from operator import itemgetter, le, mul, sub
 from typing import NamedTuple
 
-from .cartan import CartanMatrix, killing, rho_pair
+from .cartan import CartanMatrix, automorphisms, killing, rho_pair
 from .chamber import chamber_points
 from .lattice import (
     Vec,
@@ -351,6 +360,12 @@ def compute_all(
     vector lies in the chamber too, so it is imaginary and its multiple
     beta is a root.  A violation, or a c-value whose g * c is not an
     integer, raises NonIntegerMultiplicity.
+
+    The Peterson sum runs only at the first point of each orbit under the
+    diagram automorphisms: its images are chamber points of the same
+    height that come later in lex order, and they wait in pending with its
+    g * c until the walk reaches them.  When the group is trivial (E10,
+    E11) there are no generators and every point is summed.
     """
     table = RootTable(cm, cap, counter)
     for i in range(cm.d):
@@ -359,23 +374,43 @@ def compute_all(
     for i in range(cm.d):
         pingpong(table, unit(cm.d, i))
 
+    gens = automorphisms(cm)
+    pending: dict[Vec, int] = {}  # gc of chamber points whose orbit was summed
     for beta in chamber_points(cm, cap):
-        c = peterson_c(table, beta)
-        gc = c * coord_gcd(beta)
-        if gc.denominator != 1:
-            raise NonIntegerMultiplicity(
-                f"gcd * c({render(beta)}) = {gc} is not an integer"
-            )
-        gc = gc.numerator
+        gc = pending.pop(beta, None)
+        if gc is None:
+            gc = peterson_c(table, beta) * coord_gcd(beta)
+            if gc.denominator != 1:
+                raise NonIntegerMultiplicity(
+                    f"gcd * c({render(beta)}) = {gc} is not an integer"
+                )
+            gc = gc.numerator
+            for image in _images(beta, gens):
+                pending[image] = gc
         mult = mobius_mult(table, beta, gc)
         if mult > 0:
             table.record(beta, table.make_record(beta, gc, mult))
             pingpong(table, beta)
-        elif c:
+        elif gc:
             raise NonIntegerMultiplicity(
-                f"c({render(beta)}) = {c} but m = 0 at a chamber point"
+                f"c({render(beta)}) = {Fraction(gc, coord_gcd(beta))} "
+                f"but m = 0 at a chamber point"
             )
     return table
+
+
+def _images(beta: Vec, gens) -> list[Vec]:
+    """beta's images other than beta under the group the permutations gens
+    generate, the coordinates of an image being beta's, permuted."""
+    orbit = [beta]
+    seen = {beta}
+    for v in orbit:  # grows while it is read
+        for sigma in gens:
+            image = tuple(map(v.__getitem__, sigma))
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit[1:]
 
 
 def query_mult(table: RootTable, beta: Vec) -> int:

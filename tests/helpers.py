@@ -96,11 +96,11 @@ def reflect_walk(cm, cap, seed, seen):
 
 
 @st.composite
-def symmetrizable_gcms(draw):
-    """Rank <= 3 GCMs a_ij = 2 s_ij / s_ii of a symmetric S with s_ii = 2 e_i
-    and off-diagonal entries multiples of lcm(e_i, e_j).  Unequal e_i give
-    non-symmetric matrices, zero bonds decomposable ones."""
-    d = draw(st.integers(1, 3))
+def symmetrizable_gcms(draw, max_rank=3):
+    """GCMs of rank <= max_rank, a_ij = 2 s_ij / s_ii of a symmetric S with
+    s_ii = 2 e_i and off-diagonal entries multiples of lcm(e_i, e_j).
+    Unequal e_i give non-symmetric matrices, zero bonds decomposable ones."""
+    d = draw(st.integers(1, max_rank))
     e = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
     grid = [[2] * d for _ in range(d)]
     for i in range(d):

@@ -1,9 +1,20 @@
 import random
+from itertools import permutations
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
 
-from rootmult import NotGCM, NotSymmetrizable, build, killing, rho_pair
-from helpers import A2, AFFINE_A1, HYP3, AFFINE_A2
+from rootmult import (
+    NotGCM,
+    NotSymmetrizable,
+    automorphisms,
+    build,
+    killing,
+    preset_matrix,
+    rho_pair,
+)
+from helpers import A2, AFFINE_A1, HYP3, AFFINE_A2, symmetrizable_gcms
 
 
 def test_rank_one():
@@ -129,3 +140,84 @@ def test_scaled_form_scales_outputs():
         assert killing(doubled, beta, gamma) == 2 * killing(cm, beta, gamma)
         assert rho_pair(doubled, beta) == 2 * rho_pair(cm, beta)
 
+
+
+def closure(gens, d):
+    """Every permutation the generators generate, by breadth-first products."""
+    group = [tuple(range(d))]
+    seen = set(group)
+    for p in group:  # grows while it is read
+        for g in gens:
+            q = tuple(map(p.__getitem__, g))
+            if q not in seen:
+                seen.add(q)
+                group.append(q)
+    return seen
+
+
+def is_automorphism(cm, sigma):
+    return all(cm.s[sigma[i]][sigma[j]] == cm.s[i][j]
+               for i in range(cm.d) for j in range(cm.d))
+
+
+def assert_transversal(gens):
+    # each generator fixes the nodes before its first moved node k and
+    # sends k to a later node
+    for sigma in gens:
+        k = next(i for i, x in enumerate(sigma) if x != i)
+        assert sigma[k] > k
+
+
+AFFINE_A3 = [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("grid,order", [
+    ("hyp-2-3", 2),
+    ("hyp-2-7", 2),
+    ("e10", 1),
+    ("e11", 1),
+    ([[2, -1], [-2, 2]], 1),
+    ([[2, -1], [-4, 2]], 1),
+    ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], 2),
+    (AFFINE_A3, 8),
+    (AFFINE_A2, 6),
+], ids=["hyp-2-3", "hyp-2-7", "e10", "e11", "b2", "twisted", "end-swap",
+        "affine-a3", "affine-a2"])
+def test_automorphism_group_orders(grid, order):
+    cm = build(preset_matrix(grid) if isinstance(grid, str) else grid)
+    gens = automorphisms(cm)
+    assert all(is_automorphism(cm, g) for g in gens)
+    assert_transversal(gens)
+    assert len(closure(gens, cm.d)) == order
+    if order == 1:
+        assert gens == ()
+
+
+def test_automorphisms_of_named_diagrams():
+    assert automorphisms(build(HYP3)) == ((1, 0),)
+    # s = diag(2, 1, 2) A: the end nodes agree, the middle one differs
+    assert automorphisms(build([[2, -1, 0], [-2, 2, -2], [0, -1, 2]])) == ((2, 1, 0),)
+
+
+def test_complete_graph_group_is_generated_not_enumerated():
+    grid = [[2 if i == j else -1 for j in range(8)] for i in range(8)]
+    cm = build(grid)
+    times = []
+    for _ in range(3):
+        start = perf_counter()
+        gens = automorphisms(cm)
+        times.append(perf_counter() - start)
+    assert min(times) < 0.05
+    assert len(gens) <= 28
+    assert len(closure(gens, 8)) == 40_320
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=4))
+def test_automorphisms_generate_exactly_the_brute_force_group(grid):
+    cm = build(grid)
+    expected = {p for p in permutations(range(cm.d)) if is_automorphism(cm, p)}
+    gens = automorphisms(cm)
+    assert_transversal(gens)
+    assert len(gens) <= cm.d * (cm.d - 1) // 2
+    assert closure(gens, cm.d) == expected

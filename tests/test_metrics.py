@@ -10,7 +10,7 @@ from rootmult import (
     naive_compute,
 )
 from rootmult.metrics import PHASE_ORACLE, PHASE_PINGPONG, PHASE_SUM
-from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3
+from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D
 
 
 def test_k_naive_closed_small_values():
@@ -107,10 +107,14 @@ def test_e10_pingpong_count_at_cap_10():
     (HYP3, 40),
     ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], 20),
     ("e10", 40),
-], ids=["a2", "affine-a1", "hyp-2-3", "ha1", "e10"])
+    (HYP3D, 16),
+], ids=["a2", "affine-a1", "hyp-2-3", "ha1", "e10", "hyp-3d"])
 def test_each_recorded_vector_is_reflected_once(grid, cap):
     # Simple roots and imaginary chamber points are expanded as pingpong
     # seeds, every other vector when it is recorded, and nothing twice.
+    # HYP3D's symmetric group permutes its chamber points: a point whose
+    # Peterson sum is reused from an earlier image is still recorded and
+    # walked, once.
     from rootmult import preset_matrix
 
     cm = build(preset_matrix(grid) if isinstance(grid, str) else grid)
@@ -120,18 +124,26 @@ def test_each_recorded_vector_is_reflected_once(grid, cap):
 
 
 HA1 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
+AFFINE_A1_SQUARED = [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
 
 
 @pytest.mark.parametrize("grid,cap,pingpong,peterson_sum", [
-    (HYP3, 40, 748, 11_622),
+    (HYP3, 40, 748, 6_332),
     ("e10", 40, 8_540, 121),
     ("e10", 100, 665_140, 3_775),
     ("e11", 30, 7_821, 121),
     (HA1, 20, 657, 1_120),
-], ids=["hyp-2-3", "e10", "e10-100", "e11", "ha1"])
+    (HYP3D, 16, 1_491, 2_404),
+    (AFFINE_A1_SQUARED, 16, 192, 112),
+], ids=["hyp-2-3", "e10", "e10-100", "e11", "ha1", "hyp-3d", "affine-a1-squared"])
 def test_compute_all_form_counts_are_pinned(grid, cap, pingpong, peterson_sum):
     # The form count is the paper's cost model: each phase must add exactly
-    # the forms it evaluated, wherever in the phase the ticks happen.
+    # the forms it evaluated, wherever in the phase the ticks happen.  A
+    # Peterson sum is evaluated once per orbit of chamber points under the
+    # diagram automorphisms: the swap halves hyp-2-3's sums (11,622 forms
+    # if every point were summed), S_3 cuts HYP3D's (9,890) and the block
+    # swaps of the decomposable AFFINE_A1_SQUARED cut its (216).  E10, E11
+    # and HA1 have no automorphism, so each of their points is summed.
     from rootmult import preset_matrix
 
     cm = build(preset_matrix(grid) if isinstance(grid, str) else grid)

@@ -192,6 +192,35 @@ def test_engine_matches_naive_oracle(grid, cap):
     assert compare_tables(compute_all(cm, cap), naive_compute(cm, cap)) == []
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_relabeling_the_nodes_permutes_the_table(data):
+    # The Peterson sum is reused across automorphism images of chamber
+    # points, and a relabeling changes which image comes first in lex
+    # order; the table must not notice.
+    grid = data.draw(symmetrizable_gcms(max_rank=4), label="grid")
+    d = len(grid)
+    perm = data.draw(st.permutations(range(d)), label="perm")
+    cap = data.draw(st.integers(1, 12), label="cap")
+    relabeled = [[grid[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+    table = compute_all(build(grid), cap)
+    moved = compute_all(build(relabeled), cap)
+    assert moved.entries == {
+        tuple(v[perm[i]] for i in range(d)): rec for v, rec in table.entries.items()
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=2), cap=st.integers(1, 10))
+def test_engine_matches_oracle_on_block_doubled_gcms(grid, cap):
+    # A + A has the block swap on top of A's own automorphisms, and chamber
+    # points with support in both blocks that are not roots (c = 0).
+    d = len(grid)
+    doubled = [row + [0] * d for row in grid] + [[0] * d + row for row in grid]
+    cm = build(doubled)
+    assert compare_tables(compute_all(cm, cap), naive_compute(cm, cap)) == []
+
+
 def test_weyl_invariance_of_multiplicity():
     cm = build(HYP3)
     table = compute_all(cm, 14)
