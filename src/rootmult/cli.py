@@ -25,6 +25,7 @@ from contextlib import nullcontext
 from . import __version__
 from .cartan import NotGCM, NotSymmetrizable, build
 from .chamber import CapExceeded, hilbert_basis
+from .lattice import MAX_CAP
 from .metrics import KillingCounter, counter_snapshot
 from .oracle import compare_tables, naive_compute
 from .peterson import NonIntegerMultiplicity, compute_all
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preset", metavar="NAME",
                         help=f"one of: {', '.join(PRESET_NAMES)}")
     parser.add_argument("--height", type=int, required=True, metavar="N",
-                        help="height cap (>= 1)")
+                        help="height cap (1 to 2**63 - 1)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table format (default csv)")
     parser.add_argument("--out", metavar="FILE",
@@ -77,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(argv=None) -> argparse.Namespace:
     """The parsed arguments, validated, with the Cartan matrix as args.grid."""
     args = build_parser().parse_args(argv)
-    if args.height < 1:
-        raise ValueError("--height must be >= 1")
+    if not 1 <= args.height <= MAX_CAP:
+        raise ValueError(f"--height must be >= 1 and <= {MAX_CAP}")
     if args.preset is not None:
         try:
             grid = preset_matrix(args.preset)

@@ -23,38 +23,47 @@ first point in (height, lex) order, and its value is reused at the other
 points; every point still gets its own Moebius inversion, record and
 pingpong, since the images lie in different Weyl orbits.
 
+Every vector inside the engine is one int, its KeyCodec key for the box
+[0, cap]^d: a field of w bytes per coordinate (w the smallest power of
+two with cap < 2^(8w - 1)), coordinate 0 in the most significant field.
+Int order is therefore lex order, so export sorts ints and a candidate
+bucket, sorted by key, is bisected on its first coordinate as a key range.
+The top bit of every field is a guard bit: with G their mask, u <= beta
+iff (key(beta) - key(u)) & G == 0, and then key(beta) - key(u) is
+key(beta - u), so the Peterson sum finds v = beta - u with one
+subtraction.  The table's records, its height index, the candidate
+buckets and pingpong's walk all hold keys.  Tuples appear only at the API
+edge: RootTable.key checks a tuple's length and range before encoding it
+(so nothing outside the box lands on another vector's key), and get, in,
+entries, roots, export_rows, c_value and query_mult decode or encode
+there.
+
 Everything is exact and integer inside.  With g = gcd(beta), g*c(beta) is
 an integer, because c(beta) = sum_{n | g} m(beta/n)/n; compute_all checks
 that once per chamber point, right after the Peterson sum, and from there
 on the table takes only integers: a record stores gc beside g, the
 multiplicity and the norm (beta, beta), which also decides the kind (real
-iff positive).  The Peterson sum and the Moebius inversion work on those
-integers.  Fraction appears only at the edges: one per evaluated chamber
-point, and in c_value and RootRecord.c for readers.  No floating point is
-used anywhere in the engine.
+iff positive).  The Peterson sum takes each pair's form from stored norms,
+2 (u, v) = (beta, beta) - (u, u) - (v, v), with (n r, n r) = n^2 (r, r)
+for a scaled real root, and still charges the cost model one form per
+pair.  The Moebius inversion reads c(beta/n) at key(beta) / n.  Fraction
+appears only at the edges: one per evaluated chamber point, and in c_value
+and RootRecord.c for readers.  No floating point is used anywhere in the
+engine.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, le, mul, sub
+from operator import itemgetter
 from typing import NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, killing, rho_pair
 from .chamber import chamber_points
-from .lattice import (
-    Vec,
-    coord_gcd,
-    divisors,
-    height,
-    mobius,
-    render,
-    unit,
-    vdiv,
-    vscale,
-)
+from .lattice import KeyCodec, Vec, coord_gcd, height, mobius, render, unit
 from .metrics import PHASE_SUM, KillingCounter
 from .weyl import pingpong
 
@@ -106,12 +115,16 @@ class RootRecord(NamedTuple):
 class RootTable:
     """Graded store of every discovered vector with its orbit's RootRecord.
 
-    The engine's one state object: it carries the Cartan matrix, the cap
-    and the counter of its run.  Filled in by one run (pingpong and the
-    driver write to it); read-only once compute_all returns.  The Peterson
-    sum reads it through candidate buckets, one per height, built on first
-    use; a height at or below the highest built bucket is frozen and takes
-    no further records.
+    The engine's one state object: it carries the Cartan matrix, the cap,
+    the counter of its run and the KeyCodec of the box [0, cap]^d.  Every
+    vector is held as its key: records maps key -> RootRecord, and the
+    height index, the candidate buckets and pingpong's walk hold keys too.
+    Tuples appear only at the edge: key() checks a tuple before encoding
+    it, and get, in, entries, roots and export_rows decode.  Filled in by
+    one run (pingpong and the driver write to it); read-only once
+    compute_all returns.  The Peterson sum reads it through candidate
+    buckets, one per height, built on first use; a height at or below the
+    highest built bucket is frozen and takes no further records.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -120,19 +133,37 @@ class RootTable:
         self.cm = cm
         self.cap = cap
         self.counter = counter if counter is not None else KillingCounter()
-        self.entries: dict[Vec, RootRecord] = {}
-        self._by_height: dict[int, list[Vec]] = {}
+        self.codec = KeyCodec(cm.d, cap)
+        self.records: dict[int, RootRecord] = {}
+        self._by_height: dict[int, list[int]] = {}
         self._buckets: dict[int, tuple[list[int], list[tuple]]] = {}
         self._frozen = 0
 
+    def key(self, beta: Vec) -> int | None:
+        """beta's key, or None unless beta has d coordinates in 0..cap.
+
+        The check comes first: a short tuple, or a coordinate that does not
+        fit its field, would otherwise encode to another vector's key.
+        """
+        if len(beta) != self.cm.d or min(beta) < 0 or max(beta) > self.cap:
+            return None
+        return self.codec.encode(beta)
+
     def __contains__(self, beta: Vec) -> bool:
-        return beta in self.entries
+        return self.key(beta) in self.records
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.records)
 
     def get(self, beta: Vec) -> RootRecord | None:
-        return self.entries.get(beta)
+        return self.records.get(self.key(beta))
+
+    @property
+    def entries(self) -> dict[Vec, RootRecord]:
+        """A copy of the records keyed by vector, in record order, built
+        on each access: for readers, never used by the engine."""
+        decode = self.codec.decode
+        return {decode(k): rec for k, rec in self.records.items()}
 
     def make_record(self, beta: Vec, gc: int, mult: int) -> RootRecord:
         """A new orbit's record for its first member beta, given gc = g * c.
@@ -144,58 +175,76 @@ class RootTable:
 
     def record(self, beta: Vec, rec: RootRecord) -> None:
         """Store beta with rec, the record of its orbit (shared, not copied)."""
-        h = height(beta)
-        if not (0 < h <= self.cap) or any(b < 0 for b in beta):
+        key = self.key(beta)
+        if key is None:
             raise ValueError(f"cannot record {beta}: not positive within cap")
-        if beta in self.entries:
+        self.record_key(key, sum(beta), rec)
+
+    def record_key(self, key: int, h: int, rec: RootRecord) -> None:
+        """record() for a key and its height, as pingpong carries them.
+
+        The guards hold on the key: clear guard bits and 0 < key < limit
+        make every field a non-negative coordinate; one multiply checks the
+        carried height h <= cap, which then bounds every coordinate (the
+        multiply is exact unless the fields sum to 2^(8w) or more, which
+        takes three fields far above the cap); and g is checked against the
+        decoded coordinates.
+        """
+        codec = self.codec
+        if (key & codec.guard or not (0 < key < codec.limit and 0 < h <= self.cap)
+                or codec.height(key) != h):
+            shown = codec.decode(key) if 0 <= key < codec.limit else hex(key)
+            raise ValueError(f"cannot record {shown}: not positive within cap")
+        beta = codec.decode(key)
+        if key in self.records:
             raise ValueError(f"{beta} already recorded")
         if h <= self._frozen:
             raise ValueError(
                 f"cannot record {beta}: height {h} is frozen, the Peterson "
                 f"candidates up to height {self._frozen} are already indexed"
             )
-        if rec.g != coord_gcd(beta):
+        if rec.g != gcd(*beta):
             raise ValueError(f"cannot record {beta} with g = {rec.g}")
-        self.entries[beta] = rec
-        self._by_height.setdefault(h, []).append(beta)
-
-    def at_height(self, h: int) -> list[Vec]:
-        return self._by_height.get(h, [])
+        self.records[key] = rec
+        self._by_height.setdefault(h, []).append(key)
 
     def candidates(self, h: int) -> tuple[list[int], list[tuple]]:
         """The Peterson candidate bucket of height h; freezes every height <= h.
 
-        One entry (u0, u, g, gc, S u) per vector u of height h with c(u) != 0:
-        every recorded u, and every multiple u = n r (n >= 2) of a recorded
-        real root r (norm > 0), whose g = n and gc = 1.  Entries are sorted
-        by their first coordinate u0, returned beside the list of those keys.
+        One entry (key, h, g, gc, norm) per vector u of height h with
+        c(u) != 0: every recorded u, and every multiple u = n r (n >= 2) of
+        a recorded real root r (norm > 0), whose key is n key(r), g = n,
+        gc = 1 and norm n^2 (r, r).  Entries are sorted by key, which is
+        lex order, and returned beside the list of their keys.
         """
         bucket = self._buckets.get(h)
         if bucket is None:
-            s, entries = self.cm.s, self.entries
-
-            def entry(u, g, gc):
-                return (u[0], u, g, gc, tuple(sum(map(mul, row, u)) for row in s))
-
-            rows = [entry(u, entries[u].g, entries[u].gc) for u in self.at_height(h)]
+            records, by_height = self.records, self._by_height
+            rows = []
+            for k in by_height.get(h, ()):
+                rec = records[k]
+                rows.append((k, h, rec.g, rec.gc, rec.norm))
             for n in range(2, h + 1):
                 if h % n == 0:
-                    rows.extend(entry(vscale(n, r), n, 1)
-                                for r in self.at_height(h // n)
-                                if entries[r].norm > 0)
+                    for k in by_height.get(h // n, ()):
+                        rec = records[k]
+                        if rec.norm > 0:
+                            rows.append((n * k, h, n, 1, n * n * rec.norm))
             rows.sort(key=itemgetter(0))
             bucket = self._buckets[h] = ([e[0] for e in rows], rows)
             self._frozen = max(self._frozen, h)
         return bucket
 
+    def _sorted_keys(self):
+        """(height, key) of every record in (height, lex) order."""
+        for h in sorted(self._by_height):
+            for k in sorted(self._by_height[h]):
+                yield h, k
+
     def roots(self) -> list[Vec]:
         """All recorded vectors with positive multiplicity, (height, lex)."""
-        return [
-            v
-            for h in sorted(self._by_height)
-            for v in sorted(self._by_height[h])
-            if self.entries[v].mult > 0
-        ]
+        records, decode = self.records, self.codec.decode
+        return [decode(k) for _, k in self._sorted_keys() if records[k].mult > 0]
 
     def export_rows(self):
         """One row per recorded vector: coords, height, norm, c, mult, kind.
@@ -203,32 +252,41 @@ class RootTable:
         Sorted by (height, lex).  Norms come from the records, so exporting
         evaluates no form and never perturbs the cost measurement.
         """
-        for h in sorted(self._by_height):
-            for v in sorted(self._by_height[h]):
-                rec = self.entries[v]
-                k = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
-                yield {
-                    "coords": v,
-                    "height": h,
-                    "norm": rec.norm,
-                    "c": f"{rec.gc // k}/{rec.g // k}",
-                    "mult": rec.mult,
-                    "kind": rec.kind,
-                }
+        records, decode = self.records, self.codec.decode
+        for h, k in self._sorted_keys():
+            rec = records[k]
+            g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
+            yield {
+                "coords": decode(k),
+                "height": h,
+                "norm": rec.norm,
+                "c": f"{rec.gc // g}/{rec.g // g}",
+                "mult": rec.mult,
+                "kind": rec.kind,
+            }
 
 
-def _gc(table: RootTable, gamma: Vec) -> int:
-    """gcd(gamma) * c(gamma): the record's gc, 1 for an unrecorded multiple
-    of a recorded real root (c = 1/n at gcd n), else 0."""
-    rec = table.entries.get(gamma)
+def _gc(table: RootTable, key: int) -> int:
+    """gcd(gamma) * c(gamma) for the vector of key: the record's gc, 1 for
+    an unrecorded multiple of a recorded real root (c = 1/n at gcd n),
+    else 0."""
+    found = _lookup(table, key)
+    return found[1] if found else 0
+
+
+def _lookup(table: RootTable, key: int) -> tuple[int, int, int] | None:
+    """(g, gc, norm) of the vector of key if c != 0 there: its record's
+    values, or (n, 1, n^2 (r, r)) for a multiple n r of a recorded real
+    root r; None when c = 0."""
+    rec = table.records.get(key)
     if rec is not None:
-        return rec.gc
-    n = coord_gcd(gamma)
+        return rec.g, rec.gc, rec.norm
+    n = gcd(*table.codec.decode(key))
     if n >= 2:
-        base = table.entries.get(vdiv(gamma, n))
+        base = table.records.get(key // n)
         if base is not None and base.norm > 0:
-            return 1
-    return 0
+            return n, 1, n * n * base.norm
+    return None
 
 
 def c_value(table: RootTable, gamma: Vec) -> Fraction:
@@ -236,74 +294,92 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
 
     Recorded vectors answer directly.  An unrecorded gamma can only have a
     nonzero c-value if gamma = n * r for a recorded real root r, in which
-    case c(gamma) = 1/n; everything else is 0.  Pure lookup, no form
-    evaluations.
+    case c(gamma) = 1/n; everything else is 0, and so is every gamma
+    outside the table's box (wrong length, or a coordinate outside
+    0..cap).  Pure lookup, no form evaluations.
     """
-    gc = _gc(table, gamma)
+    key = table.key(gamma)
+    gc = _gc(table, key) if key is not None else 0
     return Fraction(gc, coord_gcd(gamma)) if gc else Fraction(0)
 
 
-def _pair_candidates(table: RootTable, beta: Vec) -> list[tuple]:
+def _pair_candidates(table: RootTable, key: int, top: int) -> list[tuple]:
     """Candidate lower halves u of decompositions beta = u + v with c(u) != 0.
 
-    Every bucket entry (u0, u, g, gc, S u) with height(u) = h <= height(beta)/2
-    and u <= beta componentwise.  Chamber points are minimal in height within
-    their orbit, so once beta is reached nothing more is recorded at height
-    <= height(beta)/2 and those buckets are final.  In the bucket of height h,
-    u <= beta forces h - (height(beta) - beta0) <= u0 <= beta0, a bisected
-    range that leq then filters (for rank 2 the range is exact).
+    beta is given by its key and its height top.  Every bucket entry
+    (key, h, g, gc, norm) with h <= top/2 and u <= beta componentwise.
+    Chamber points are minimal in height within their orbit, so once beta
+    is reached nothing more is recorded at height <= top/2 and those
+    buckets are final.  In the bucket of height h, u <= beta forces
+    h - (top - beta_0) <= u_0 <= beta_0, a key range (coordinate 0 is the
+    top field) that the guard-mask test u <= beta of KeyCodec then filters
+    (for rank 2 the range is exact).
     """
-    top = height(beta)
-    b0 = beta[0]
+    codec = table.codec
+    guard, shift = codec.guard, codec.top_shift
+    b0 = key >> shift
     rest = top - b0
     out: list[tuple] = []
     for h in range(1, top // 2 + 1):
         keys, entries = table.candidates(h)
-        out.extend(
-            e
-            for e in entries[bisect_left(keys, h - rest):bisect_right(keys, b0)]
-            if all(map(le, e[1], beta))  # leq(u, beta), inlined
-        )
+        lo = bisect_left(keys, max(h - rest, 0) << shift)
+        hi = bisect_left(keys, (b0 + 1) << shift, lo)
+        out += [e for e in entries[lo:hi] if not (key - e[0]) & guard]
     return out
 
 
-def _sum_terms(table: RootTable, beta: Vec, cands) -> tuple[int, int]:
-    """The Peterson sum as an integer fraction (numerator, denominator).
+def _sum_terms(table: RootTable, key: int, top: int, norm: int, cands) -> tuple[int, int]:
+    """The Peterson sum at beta (key, height top, norm (beta, beta)) as an
+    integer fraction (numerator, denominator).
 
     A pair contributes factor * (u, v) * c(u) * c(v) with c = gc / g, so its
     integer numerator factor * (u, v) * gc_u * gc_v is accumulated under the
     denominator g_u * g_v; the few denominators are combined once at the
-    end.  Unordered pairs are visited once and doubled (the self-pair
-    beta = 2u counts once).  One bulk tick counts the forms evaluated here
-    and the denominator's (beta, beta).
+    end.  2 (u, v) = (beta, beta) - (u, u) - (v, v) comes from stored norms,
+    so no dot product is taken.  Unordered pairs are visited once and
+    doubled: every u below half the height pairs with a v above it, and in
+    the last bucket (height top/2, if top is even) u < v in key order is
+    doubled, u = v counts once and u > v was visited from the other side.
+    The cost model still charges one form per pair: one bulk tick counts
+    them and the denominator's (beta, beta).
     """
-    top = height(beta)
-    entries = table.entries
-    by_den: dict[int, int] = {}
-    forms = 0
-    for _, u, g_u, gc_u, su in cands:
-        v = tuple(map(sub, beta, u))
-        if 2 * sum(u) == top:
-            if u > v:
-                continue  # unordered pair already visited from the other side
-            factor = 1 if u == v else 2
-        else:
-            factor = 2
-        rec = entries.get(v)
+    get = table.records.get
+    by_den: defaultdict[int, int] = defaultdict(int)
+    skipped = 0
+    middle = len(cands)  # cands come in height order
+    while middle and 2 * cands[middle - 1][1] == top:
+        middle -= 1
+    for ku, _, g_u, gc_u, norm_u in cands[:middle]:
+        kv = key - ku
+        rec = get(kv)
         if rec is not None:
-            g_v, gc_v = rec.g, rec.gc
+            g_v, gc_v, _, norm_v = rec
         else:
-            gc_v = _gc(table, v)
-            if not gc_v:
+            found = _lookup(table, kv)
+            if found is None:
+                skipped += 1
                 continue
-            g_v = gcd(*v)
-        forms += 1
-        den = g_u * g_v
-        term = factor * gc_u * gc_v * sum(map(mul, v, su))
-        by_den[den] = by_den.get(den, 0) + term
-    table.counter.tick(PHASE_SUM, forms + 1)  # + 1: peterson_c's (beta, beta)
+            g_v, gc_v, norm_v = found
+        by_den[g_u * g_v] += gc_u * gc_v * (norm - norm_u - norm_v)
+    for ku, _, g_u, gc_u, norm_u in cands[middle:]:
+        kv = key - ku
+        found = _lookup(table, kv) if ku <= kv else None
+        if found is None:
+            skipped += 1
+            continue
+        g_v, gc_v, norm_v = found
+        term = gc_u * gc_v * (norm - norm_u - norm_v)
+        by_den[g_u * g_v] += term if ku < kv else term >> 1
+    table.counter.tick(PHASE_SUM, len(cands) - skipped + 1)  # + 1: (beta, beta)
     common = lcm(*by_den)
     return sum(num * (common // den) for den, num in by_den.items()), common
+
+
+def _positive_key(table: RootTable, beta: Vec) -> int:
+    key = table.key(beta)
+    if not key:
+        raise ValueError(f"{render(beta)} is not a positive vector of the table's box")
+    return key
 
 
 def peterson_c(table: RootTable, beta: Vec) -> Fraction:
@@ -315,10 +391,12 @@ def peterson_c(table: RootTable, beta: Vec) -> Fraction:
     the counter, in one bulk tick from _sum_terms that includes the
     denominator's (beta, beta); a zero denominator raises before any tick.
     """
-    denom = killing(table.cm, beta, beta) - rho_pair(table.cm, beta)
+    norm = killing(table.cm, beta, beta)
+    denom = norm - rho_pair(table.cm, beta)
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
-    num, den = _sum_terms(table, beta, _pair_candidates(table, beta))
+    key, top = _positive_key(table, beta), height(beta)
+    num, den = _sum_terms(table, key, top, norm, _pair_candidates(table, key, top))
     return Fraction(num, den * denom)
 
 
@@ -329,15 +407,17 @@ def mobius_mult(table: RootTable, beta: Vec, gc: int) -> int:
 
     and c(beta/n) = gc(beta/n) * n/g, so g * m(beta) = sum_{n | g} mu(n) gc(beta/n)
     in integers, with gc = g * c(beta) given and the smaller terms read from
-    the table.  Raises NonIntegerMultiplicity if the result is not a
-    non-negative integer, which would mean an upstream bug.
+    the table, at key(beta) / n.  Raises NonIntegerMultiplicity if the
+    result is not a non-negative integer, which would mean an upstream bug.
     """
+    key = _positive_key(table, beta)
     g = coord_gcd(beta)
-    total = 0
-    for n, gamma in divisors(beta):
-        mu = mobius(n)
-        if mu:
-            total += mu * (gc if n == 1 else _gc(table, gamma))
+    total = gc
+    for n in range(2, g + 1):
+        if g % n == 0:
+            mu = mobius(n)
+            if mu:
+                total += mu * _gc(table, key // n)
     if total < 0 or total % g:
         raise NonIntegerMultiplicity(
             f"m({render(beta)}) = {Fraction(total, g)} is not a non-negative integer"
@@ -431,5 +511,5 @@ def query_mult(table: RootTable, beta: Vec) -> int:
         raise HeightExceedsCap(
             f"height {height(beta)} exceeds table cap {table.cap}"
         )
-    rec = table.entries.get(beta)
+    rec = table.get(beta)
     return rec.mult if rec is not None else 0

@@ -4,17 +4,23 @@ pingpong walks a seed root's Weyl orbit, keeping every image that stays
 positive with height at most the cap, and records each new member with the
 seed's own RootRecord: its values are Weyl invariants, so the whole orbit
 shares one record object.  The root table is the walk's one state object:
-it supplies the Cartan matrix, the cap and the counter, and it is the
-walk's only visited set, so no recorded vector is reflected twice.
+it supplies the Cartan matrix, the cap, the counter and the KeyCodec, and
+it is the walk's only visited set, so no recorded vector is reflected
+twice.
 
-The walk carries the pairing vector p = A beta (p_i = <beta, alpha_i^vee>)
-of each vector it has yet to expand.  The reflection s_i changes only
-coordinate i, by p_i, so one coordinate decides whether its image is
-positive and within the cap, and a new image's pairing vector is
-p - p_i * (column i of A).  reflect is the pure single-step API and the
-tests' arbiter for the walk; pingpong does not call it.  The counter
-charges the cost model's d reflections (one form-equivalent evaluation
-each) per walked vector, in one bulk tick per walk.
+The walk runs on keys (one int per vector, coordinate i in the field at
+codec.shifts[i]) and carries, for each vector it has yet to expand, its
+height and its pairing vector p = A beta (p_i = <beta, alpha_i^vee>).  The
+reflection s_i changes only coordinate i, by p_i: field i of the key and
+the carried height decide whether the image is positive and within the
+cap, the image's key is key - (p_i << shifts[i]), its height h - p_i, and
+its pairing vector p - p_i * (column i of A).  No tuple of coordinates is
+built per image; the table records each new key under its carried height
+(RootTable.record_key), and the walk returns keys.  reflect is the pure
+single-step API on tuples and the tests' arbiter for the walk; pingpong
+does not call it.  The counter charges the cost model's d reflections
+(one form-equivalent evaluation each) per walked vector, in one bulk tick
+per walk.
 """
 
 from __future__ import annotations
@@ -43,20 +49,22 @@ def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
     return beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
 
 
-def pingpong(table, seed: Vec) -> tuple[Vec, ...]:
+def pingpong(table, seed: Vec) -> tuple[int, ...]:
     """Close the seed's Weyl orbit under the table's height cap.
 
-    Walks breadth-first from the seed.  A walked vector beta of height h
-    is expanded with its pairing vector p, computed for the seed and
-    carried for every other vector.  s_i(beta) replaces beta_i by
-    beta_i - p_i, so it is beta itself when p_i = 0, above the cap when
-    h - p_i > cap, and not positive when beta_i < p_i.  Any other image
-    that the table does not hold is recorded with the seed's record object
-    and walked in turn with p - p_i * (column i of A); one it holds must
-    carry that record or equal values (E10's simple roots are recorded
-    apart but share one orbit) and is not walked again.  Returns the new
-    records in record order (() on a second run).  The seed must already be
-    recorded.
+    Walks breadth-first from the seed, on keys (see KeyCodec).  A walked
+    vector beta of height h is expanded with its pairing vector p, computed
+    for the seed and carried with h for every other vector.  s_i(beta)
+    replaces beta_i by beta_i - p_i, so it is beta itself when p_i = 0,
+    above the cap when h - p_i > cap, and not positive when beta_i (field
+    i of the key) is below p_i; otherwise its key is key - (p_i << shift_i).
+    Any other image that the table does not hold is recorded with the
+    seed's record object and walked in turn with height h - p_i and
+    pairing vector p - p_i * (column i of A); one it holds must carry that
+    record or equal values (E10's simple roots are recorded apart but
+    share one orbit) and is not walked again.  Returns the keys of the new
+    records in record order (() on a second run); table.codec.decode turns
+    one into its vector.  The seed must already be recorded.
 
     The cost model charges d reflections per walked vector, so the walk
     ticks d * len(walk) pingpong forms on table.counter once, at its end.
@@ -64,32 +72,35 @@ def pingpong(table, seed: Vec) -> tuple[Vec, ...]:
     record = table.get(seed)
     if record is None:
         raise KeyError(f"pingpong seed {seed} is not recorded in the table")
-    cm, cap, get = table.cm, table.cap, table.entries.get
+    cm, cap, codec = table.cm, table.cap, table.codec
+    get, record_key = table.records.get, table.record_key
+    shifts, mask = codec.shifts, codec.mask
     columns = tuple(zip(*cm.a))
 
-    walk = [seed]
-    # Pairing vectors of the walked vectors not yet expanded, in walk order:
-    # each is dropped once its vector is expanded, so only the frontier's
-    # are held, and as tuples, which are smaller than lists.
-    pairings = deque([tuple(sum(map(mul, row, seed)) for row in cm.a)])
-    for beta in walk:  # grows while it is read
-        h, p = sum(beta), pairings.popleft()
+    walk = [codec.encode(seed)]
+    # Height and pairing vector of the walked vectors not yet expanded, in
+    # walk order: each is dropped once its vector is expanded, so only the
+    # frontier's are held, and as tuples, which are smaller than lists.
+    frontier = deque([(sum(seed), tuple(sum(map(mul, row, seed)) for row in cm.a))])
+    for key in walk:  # grows while it is read
+        h, p = frontier.popleft()
         for i, p_i in enumerate(p):
-            if p_i == 0 or h - p_i > cap or beta[i] < p_i:
+            if p_i == 0 or h - p_i > cap or (key >> shifts[i]) & mask < p_i:
                 continue
-            gamma = beta[:i] + (beta[i] - p_i,) + beta[i + 1 :]
-            existing = get(gamma)
+            image = key - (p_i << shifts[i])
+            existing = get(image)
             if existing is None:
-                table.record(gamma, record)
-                walk.append(gamma)
-                pairings.append(
-                    tuple([pj - p_i * aji for pj, aji in zip(p, columns[i])])
+                record_key(image, h - p_i, record)
+                walk.append(image)
+                frontier.append(
+                    (h - p_i, tuple([pj - p_i * aji for pj, aji in zip(p, columns[i])]))
                 )
             elif existing is not record and (existing.gc, existing.mult) != (
                 record.gc, record.mult
             ):
                 raise AssertionError(
-                    f"orbit member {gamma} already recorded with conflicting values"
+                    f"orbit member {codec.decode(image)} already recorded "
+                    f"with conflicting values"
                 )
     table.counter.tick(PHASE_PINGPONG, cm.d * len(walk))
     return tuple(walk[1:])

@@ -113,10 +113,12 @@ def test_failed_write_exits_2_without_traceback(preset, height):
 
 
 # The CSV digests BENCHMARK.json records for its deep-rank2 and wide-e10
-# workloads, and e10@100 (66,514 rows), whose orbits reach heights wide-e10
-# does not: any drift in the exported table shows here.
+# workloads, hyp-2-3@128, the first cap whose keys need two-byte fields,
+# and e10@100 (66,514 rows), whose orbits reach heights wide-e10 does not:
+# any drift in the exported table shows here.
 @pytest.mark.parametrize("preset,height,digest", [
     ("hyp-2-3", 100, "7bc5c849804507c4f49b4e14a3155ff1b314d3db6e72911d137158c7acb45922"),
+    ("hyp-2-3", 128, "5b87011438fd8903199c83a5630736c220b5a31fac4c089093b0698959f18d89"),
     ("e10", 80, "57387f61c649a144b3cad111a1e5f6bd452e9c421ba92b9af0491c790ffeaa73"),
     ("e10", 100, "f23e666333c5075c0f9da1daed088887e1bb82d3114e0e44a0b8f1decabfa7a8"),
 ])
@@ -137,6 +139,9 @@ def test_not_symmetrizable_exits_3(tmp_path):
 
 def test_bad_height_exits_2():
     run_cli("--preset", "a2", "--height", "0", "--quiet", expect=2)
+    # keys pack each coordinate in at most 8 bytes
+    run_cli("--preset", "a2", "--height", str(2**63), "--quiet", expect=2)
+    run_cli("--preset", "a2", "--height", str(2**63 - 1), "--quiet", expect=0)
 
 
 def test_unknown_preset_exits_2():

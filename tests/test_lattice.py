@@ -3,9 +3,12 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootmult import coord_gcd, divisors, height, render, subroots
-from rootmult.lattice import is_positive, mobius, unit, vadd, vdiv, vscale, vsub
+from rootmult.lattice import (
+    KeyCodec, is_positive, leq, mobius, unit, vadd, vdiv, vscale, vsub,
+)
 
 
 def test_height():
@@ -97,3 +100,27 @@ def test_mobius_divisor_sum_identity():
     for g in range(1, 60):
         total = sum(mobius(n) for n in range(1, g + 1) if g % n == 0)
         assert total == (1 if g == 1 else 0)
+
+
+# 127 and 128 straddle the one- to two-byte field switch, 32767 and 32768
+# the two- to four-byte one.
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_key_codec_round_trips_and_keeps_order_and_differences(data):
+    cap = data.draw(st.one_of(st.integers(1, 300),
+                              st.sampled_from([127, 128, 32767, 32768])), label="cap")
+    d = data.draw(st.integers(1, 4), label="d")
+    vectors = st.tuples(*[st.integers(0, cap)] * d)
+    u, beta = data.draw(vectors, label="u"), data.draw(vectors, label="beta")
+    low = tuple(map(min, u, beta))  # always <= beta
+    codec = KeyCodec(d, cap)
+    assert codec.size == d * (1 if cap < 128 else 2 if cap < 32768 else 4)
+    ku, kb, kl = codec.encode(u), codec.encode(beta), codec.encode(low)
+    assert (codec.decode(ku), codec.decode(kb), codec.decode(kl)) == (u, beta, low)
+    assert tuple((kb >> s) & codec.mask for s in codec.shifts) == beta
+    assert (not (kb - ku) & codec.guard) == leq(u, beta)
+    assert not (kb - kl) & codec.guard
+    assert kb - kl == codec.encode(vsub(beta, low))
+    assert (ku < kb) == (u < beta) and (ku == kb) == (u == beta)
+    if height(beta) <= codec.mask:
+        assert codec.height(kb) == height(beta)

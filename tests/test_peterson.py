@@ -22,7 +22,7 @@ from rootmult import (
     subroots,
 )
 from rootmult import peterson
-from rootmult.lattice import height, unit, vscale
+from rootmult.lattice import height, vscale
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
@@ -116,15 +116,17 @@ def test_record_below_a_frozen_height_raises():
 def test_indexed_candidates_equal_a_brute_force_scan(grid, cap):
     cm = build(grid)
     table = compute_all(cm, cap)
+    decode = table.codec.decode
     for beta in chamber_points(cm, cap):
         half = height(beta) // 2
-        cands = _pair_candidates(table, beta)
+        cands = _pair_candidates(table, table.key(beta), height(beta))
         expected = {u for u in subroots(beta)
                     if height(u) <= half and c_value(table, u)}
-        assert sorted(e[1] for e in cands) == sorted(expected)
-        for _, u, g, gc, su in cands:
+        assert sorted(decode(e[0]) for e in cands) == sorted(expected)
+        for key, h, g, gc, norm in cands:
+            u = decode(key)
             assert Fraction(gc, g) == c_value(table, u) and g == coord_gcd(u)
-            assert su == tuple(killing(cm, u, unit(cm.d, i)) for i in range(cm.d))
+            assert norm == killing(cm, u, u) and h == height(u)
 
 
 def test_c_value_covers_scaled_reals_without_storing():
@@ -298,6 +300,40 @@ def test_table_record_guards():
         table.record((2, 2), table.make_record((2, 2), 1, 1))
     with pytest.raises(ValueError):
         RootTable(cm, 0)
+
+
+def test_record_key_guards_hold_on_the_key():
+    # pingpong records by key and carried height; rank 3 at cap 5 packs
+    # one byte per coordinate
+    table = RootTable(build(HYP3D), 5)
+    codec = table.codec
+    rec = table.make_record((1, 0, 0), 1, 1)
+    key = codec.encode((1, 0, 0))
+    for bad, h in ((key, 2),             # carried height is not the key's
+                   (key - 1, 0),         # (1, 0, -1): borrows, guard bits set
+                   (key + codec.limit, 1),   # a field above the box
+                   (-key, 1), (0, 0)):
+        with pytest.raises(ValueError, match="not positive within cap"):
+            table.record_key(bad, h, rec)
+    table.record_key(key, 1, rec)
+    assert table.get((1, 0, 0)) is rec
+
+
+def test_tuples_outside_the_box_reach_no_key():
+    # At cap 5 a coordinate has one byte: a tuple that is too short or has
+    # a coordinate outside 0..5 must answer as absent, not as whichever
+    # vector its bytes would encode to.
+    table = compute_all(build(AFFINE_A1), 5)
+    for beta in ((1,), (0, 256), (300, 0), (-1, 3)):
+        assert table.get(beta) is None and beta not in table
+        assert beta not in table.entries
+        assert c_value(table, beta) == 0
+    assert query_mult(table, (-1, 3)) == 0
+    with pytest.raises(ValueError, match="dimension"):
+        query_mult(table, (1,))
+    for beta in ((0, 256), (300, 0)):
+        with pytest.raises(HeightExceedsCap):
+            query_mult(table, beta)
 
 
 def test_export_rows_sorted_and_schema():
