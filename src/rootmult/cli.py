@@ -97,17 +97,14 @@ def load_config(argv=None) -> argparse.Namespace:
     return args
 
 
-def write_table(rows, fmt: str, stream) -> None:
+def write_table(table, fmt: str, stream) -> None:
+    """Write the table's rows as CSV, one height per write, or JSON lines."""
     if fmt == "csv":
         stream.write("coords,height,norm,c,mult,kind\n")
-        for row in rows:
-            coords = ";".join(str(x) for x in row["coords"])
-            stream.write(
-                f"{coords},{row['height']},{row['norm']},{row['c']},"
-                f"{row['mult']},{row['kind']}\n"
-            )
+        for text in table.csv_by_height():
+            stream.write(text)
     else:
-        for row in rows:
+        for row in table.export_rows():
             out = dict(row, coords=list(row["coords"]))
             stream.write(json.dumps(out, sort_keys=True) + "\n")
 
@@ -156,7 +153,7 @@ def run(args: argparse.Namespace) -> int:
 
         if generators is not None:
             stream.write(json.dumps([list(g) for g in generators]) + "\n")
-        write_table(table.export_rows(), args.format, stream)
+        write_table(table, args.format, stream)
 
         exit_code = EXIT_OK
         if args.oracle_check:

@@ -35,8 +35,8 @@ subtraction.  The table's records, its height index, the candidate
 buckets and pingpong's walk all hold keys.  Tuples appear only at the API
 edge: RootTable.key checks a tuple's length and range before encoding it
 (so nothing outside the box lands on another vector's key), and get, in,
-entries, roots, export_rows, c_value and query_mult decode or encode
-there.
+entries, roots, export_rows, csv_by_height, c_value and query_mult decode
+or encode there.
 
 Everything is exact and integer inside.  With g = gcd(beta), g*c(beta) is
 an integer, because c(beta) = sum_{n | g} m(beta/n)/n; compute_all checks
@@ -120,9 +120,9 @@ class RootTable:
     vector is held as its key: records maps key -> RootRecord, and the
     height index, the candidate buckets and pingpong's walk hold keys too.
     Tuples appear only at the edge: key() checks a tuple before encoding
-    it, and get, in, entries, roots and export_rows decode.  Filled in by
-    one run (pingpong and the driver write to it); read-only once
-    compute_all returns.  The Peterson sum reads it through candidate
+    it, and get, in, entries, roots, export_rows and csv_by_height decode.
+    Filled in by one run (pingpong and the driver write to it); read-only
+    once compute_all returns.  The Peterson sum reads it through candidate
     buckets, one per height, built on first use; a height at or below the
     highest built bucket is frozen and takes no further records.
     """
@@ -264,6 +264,20 @@ class RootTable:
                 "mult": rec.mult,
                 "kind": rec.kind,
             }
+
+    def csv_by_height(self):
+        """export_rows as CSV lines, one str per height in (height, lex)
+        order: the record part of a line (",norm,c,mult,kind\\n") is formatted
+        once per distinct record, the coordinates by a %d template."""
+        records, decode, tails = self.records, self.codec.decode, {}
+        for rec in set(records.values()):
+            g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
+            tails[rec] = f",{rec.norm},{rec.gc // g}/{rec.g // g},{rec.mult},{rec.kind}\n"
+        coords = ";".join(["%d"] * self.cm.d)
+        for h in sorted(self._by_height):
+            row = f"{coords},{h}"
+            yield "".join([row % decode(k) + tails[records[k]]
+                           for k in sorted(self._by_height[h])])
 
 
 def _gc(table: RootTable, key: int) -> int:

@@ -14,19 +14,19 @@ height and its pairing vector p = A beta (p_i = <beta, alpha_i^vee>).  The
 reflection s_i changes only coordinate i, by p_i: field i of the key and
 the carried height decide whether the image is positive and within the
 cap, the image's key is key - (p_i << shifts[i]), its height h - p_i, and
-its pairing vector p - p_i * (column i of A).  No tuple of coordinates is
-built per image; the table records each new key under its carried height
-(RootTable.record_key), and the walk returns keys.  reflect is the pure
-single-step API on tuples and the tests' arbiter for the walk; pingpong
-does not call it.  The counter charges the cost model's d reflections
-(one form-equivalent evaluation each) per walked vector, in one bulk tick
-per walk.
+its pairing vector p - p_i * (column i of A), a scaled column built once
+per (i, p_i) in a walk.  No tuple of coordinates is built per image; the
+table records each new key under its carried height (RootTable.record_key),
+and the walk returns keys.  reflect is the pure single-step API on tuples
+and the tests' arbiter for the walk; pingpong does not call it.  The
+counter charges the cost model's d reflections (one form-equivalent
+evaluation each) per walked vector, in one bulk tick per walk.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from operator import mul
+from operator import mul, sub
 
 from .cartan import CartanMatrix
 from .lattice import Vec
@@ -76,6 +76,7 @@ def pingpong(table, seed: Vec) -> tuple[int, ...]:
     get, record_key = table.records.get, table.record_key
     shifts, mask = codec.shifts, codec.mask
     columns = tuple(zip(*cm.a))
+    scaled = {}  # (i, p_i) -> p_i * (column i of A), built on first use
 
     walk = [codec.encode(seed)]
     # Height and pairing vector of the walked vectors not yet expanded, in
@@ -92,9 +93,10 @@ def pingpong(table, seed: Vec) -> tuple[int, ...]:
             if existing is None:
                 record_key(image, h - p_i, record)
                 walk.append(image)
-                frontier.append(
-                    (h - p_i, tuple([pj - p_i * aji for pj, aji in zip(p, columns[i])]))
-                )
+                col = scaled.get((i, p_i))
+                if col is None:
+                    col = scaled[i, p_i] = tuple([p_i * a for a in columns[i]])
+                frontier.append((h - p_i, tuple(map(sub, p, col))))
             elif existing is not record and (existing.gc, existing.mult) != (
                 record.gc, record.mult
             ):

@@ -1,13 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rootmult import build, chamber, cli, naive_compute, preset_matrix
-from helpers import CLI_ENV, ROOTMULT, brute_real_roots
+from rootmult import build, chamber, cli, compute_all, naive_compute, preset_matrix
+from helpers import CLI_ENV, HYP3, ROOTMULT, brute_real_roots, symmetrizable_gcms
 
 
 def run_cli(*args, expect=0):
@@ -129,6 +131,84 @@ def test_csv_bytes_are_pinned(preset, height, digest):
     )
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# The JSON lines of the same runs: JSON and CSV come from different
+# writers, so each is pinned on its own.
+@pytest.mark.parametrize("preset,height,digest", [
+    ("hyp-2-3", 100, "f5c5c02bd2d2579091f29790d7314349e45a4516cccf22d7ad4209ee5a9624e3"),
+    ("e10", 80, "8fe1b782a40d0e5e32fc9dd1bf63bcb27bb2c8b9fb1bc5629a684d22174160d6"),
+])
+def test_json_bytes_are_pinned(preset, height, digest):
+    proc = subprocess.run(
+        [*ROOTMULT, "--preset", preset, "--height", str(height), "--format", "json",
+         "--quiet"],
+        capture_output=True, env=CLI_ENV,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def reference_csv(table):
+    """The CSV text formatted row by row from export_rows, as the CSV
+    writer did before it wrote from keys: the arbiter of that writer."""
+    lines = ["coords,height,norm,c,mult,kind\n"]
+    for row in table.export_rows():
+        coords = ";".join(str(x) for x in row["coords"])
+        lines.append(f"{coords},{row['height']},{row['norm']},{row['c']},"
+                     f"{row['mult']},{row['kind']}\n")
+    return "".join(lines)
+
+
+def written_csv(table):
+    stream = io.StringIO()
+    cli.write_table(table, "csv", stream)
+    return stream.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=4), cap=st.integers(1, 14))
+def test_csv_writer_matches_row_formatting(grid, cap):
+    table = compute_all(build(grid), cap)
+    assert written_csv(table) == reference_csv(table)
+
+
+@pytest.mark.parametrize("preset,height", [
+    ("e10", 20),  # simple roots: distinct record objects with equal values
+    ("hyp-2-3", 128),  # two-byte key fields
+])
+def test_cli_csv_matches_row_formatting(preset, height, capsys):
+    assert cli.main(["--preset", preset, "--height", str(height), "--quiet"]) == 0
+    table = compute_all(build(preset_matrix(preset)), height)
+    assert capsys.readouterr().out == reference_csv(table)
+
+
+def test_csv_c_in_lowest_terms():
+    # (4,6) = 2 (2,3) has g = 2 and gc = 20, so c = 20/2 prints as 10/1
+    table = compute_all(build(HYP3), 10)
+    rec = table.get((4, 6))
+    assert (rec.g, rec.gc) == (2, 20)
+    text = written_csv(table)
+    assert "\n4;6,10,-40,10/1,9,imaginary\n" in text
+    assert text == reference_csv(table)
+
+
+def test_csv_export_writes_one_height_per_call():
+    # Holding more than one height's text at once would grow with the
+    # table; the write calls show how much the writer held.
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    table = compute_all(build(preset_matrix("e10")), 40)
+    cli.write_table(table, "csv", Recorder())
+    assert writes[0] == "coords,height,norm,c,mult,kind\n"
+    heights = [{line.split(",")[1] for line in text.splitlines()} for text in writes[1:]]
+    assert all(len(h) == 1 for h in heights)
+    assert len(heights) == len({h for hs in heights for h in hs}) == 40
+    assert "".join(writes) == reference_csv(table)
 
 
 def test_not_symmetrizable_exits_3(tmp_path):
