@@ -4,15 +4,18 @@ A symmetrizable GCM A decomposes as A = D B with D a positive diagonal
 matrix.  We store the integer matrix S = diag(d_i) * A instead of the
 rational B: S agrees with the invariant form up to one global positive
 scale, and every quantity computed downstream (c-values, multiplicities,
-chamber membership) is invariant under that scale.  The symmetrizer is
-canonicalized to coprime positive integers so output is reproducible.
+chamber membership) is invariant under that scale.  The chamber's algebra
+on blocks of S stays in integers too: a fraction-free elimination whose
+intermediate entries are minors, so each of its divisions is exact.  The
+symmetrizer is canonicalized to coprime positive integers so output is
+reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .lattice import Vec
 
@@ -25,8 +28,7 @@ class NotSymmetrizable(ValueError):
     """The ratio constraints d_i a_ij = d_j a_ji are inconsistent."""
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(NamedTuple):
     d: int
     a: tuple[tuple[int, ...], ...]
     sym: tuple[int, ...]
@@ -40,9 +42,7 @@ class CartanMatrix:
         """
         if factor < 1:
             raise ValueError("scale factor must be a positive integer")
-        return CartanMatrix(
-            d=self.d,
-            a=self.a,
+        return self._replace(
             sym=tuple(factor * x for x in self.sym),
             s=tuple(tuple(factor * x for x in row) for row in self.s),
         )

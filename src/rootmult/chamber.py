@@ -21,15 +21,18 @@ Hilbert basis is computed only on request:
 
 A generator bound above max_height raises CapExceeded instead of starting
 a completion that may not finish.
+
+All of it is integer arithmetic.  Determinants and adjugates (the
+unimodularity test, the finite-type bound of the DFS) come from a
+fraction-free Gauss-Jordan elimination whose divisions are exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .cartan import CartanMatrix
-from .lattice import Vec, height, leq, vadd, vsub
+from .lattice import Vec, height, leq, vsub
 
 
 class CapExceeded(RuntimeError):
@@ -102,13 +105,7 @@ def extreme_rays(cm: CartanMatrix) -> list[Vec]:
                 )
                 fresh.append(_primitive(combo))
         constraints.append(new_constraint)
-        merged = []
-        seen = set()
-        for r in keep + fresh:
-            if r not in seen:
-                seen.add(r)
-                merged.append(r)
-        rays = merged
+        rays = list(dict.fromkeys(keep + fresh))
 
     for ray in rays:
         for c in constraints:
@@ -116,31 +113,30 @@ def extreme_rays(cm: CartanMatrix) -> list[Vec]:
     return sorted(rays, key=lambda r: (height(r), r))
 
 
-def _gauss_jordan(rows) -> tuple[int, list[list[Fraction]] | None]:
-    """Determinant and inverse of a square integer matrix by exact
-    Gauss-Jordan elimination; the inverse is None when the determinant is 0."""
+def _det_adjugate(rows) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate (None when det is 0) of a square integer
+    matrix M by fraction-free (Bareiss) Gauss-Jordan elimination of [M | I].
+
+    Step k, with pivot p_k = m[k][k], replaces every other row by
+    (p_k row - row[k] row_k) // p_(k-1).  Each new entry is, up to sign, a
+    minor of order k + 1 of the row-permuted [M | I] and, by Sylvester's
+    identity, a multiple of p_(k-1), so the division is exact.  The last
+    pivot is det and the right half adj, both up to the sign of the swaps.
+    """
     n = len(rows)
-    m = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return 0, None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        p = m[col][col]
-        det *= p
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det), [row[n:] for row in m]
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        pk, p = m[k], m[k][k]
+        m = [row if r == k else [(p * x - row[k] * y) // prev for x, y in zip(row, pk)]
+             for r, row in enumerate(m)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def _finite_type_inverse(block) -> tuple[int, list[list[int]]] | None:
@@ -148,12 +144,13 @@ def _finite_type_inverse(block) -> tuple[int, list[list[int]]] | None:
 
     S_FF has nonpositive off-diagonal entries, so it is positive definite
     exactly when it is invertible with an entrywise non-negative inverse
-    (a nonsingular M-matrix); then inverse = adjugate / det with det > 0.
+    (a nonsingular M-matrix): det > 0 and adjugate >= 0, both from the
+    integer elimination of _det_adjugate, whose divisions are exact.
     """
-    det, inv = _gauss_jordan(block)
-    if inv is None or det < 0 or any(x < 0 for row in inv for x in row):
+    det, adj = _det_adjugate(block)
+    if det <= 0 or any(x < 0 for row in adj for x in row):
         return None
-    return det, [[int(x * det) for x in row] for row in inv]
+    return det, adj
 
 
 def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[Vec]:
@@ -234,13 +231,11 @@ def hilbert_basis(cm: CartanMatrix, max_height: int | None = None) -> tuple[Vec,
     if len(rays) <= 1:
         # An empty chamber has no generators; a primitive ray generates alone.
         return tuple(rays)
-    if len(rays) == cm.d and abs(_gauss_jordan(rays)[0]) == 1:
+    if len(rays) == cm.d and abs(_det_adjugate(rays)[0]) == 1:
         # Unimodular simplicial cone: the semigroup is free on the rays.
         return tuple(rays)
 
-    bound = rays[0]
-    for r in rays[1:]:
-        bound = vadd(bound, r)
+    bound = tuple(map(sum, zip(*rays)))
     if height(bound) > max_height:
         raise CapExceeded(
             f"certified generator height bound {height(bound)} exceeds "

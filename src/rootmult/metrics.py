@@ -65,17 +65,20 @@ def counter_snapshot(run) -> dict:
 
     The run must expose .cm, .cap and .counter.  The report compares the
     measured ascent cost against the closed-form naive cost at the same
-    height; the ratio is informational only (the engine itself never uses
-    floating point).
+    height; the ratio is informational only, None when ka is 0 or the
+    quotient does not fit a float (the engine itself never uses floats).
     """
     phases = run.counter.by_phase()
     kn = k_naive_closed(run.cm.d, run.cap)
     ka = k_ascent_measured(run.counter)
-    report = {
+    try:
+        ratio = kn / ka if ka else None
+    except OverflowError:  # the quotient is beyond the float range
+        ratio = None
+    return {
         "phases": phases,
         "k_ascent": ka if ka else None,
         "oracle": phases.get(PHASE_ORACLE) or None,
         "k_naive_closed": kn,
-        "ratio": (kn / ka) if ka else None,
+        "ratio": ratio,
     }
-    return report

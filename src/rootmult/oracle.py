@@ -13,7 +13,6 @@ naive bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -23,14 +22,16 @@ from .metrics import PHASE_ORACLE, KillingCounter
 from .peterson import NonIntegerMultiplicity
 
 
-@dataclass
 class OracleTable:
-    cm: CartanMatrix
-    cap: int
-    c: dict[Vec, Fraction] = field(default_factory=dict)
-    mult: dict[Vec, int] = field(default_factory=dict)
-    counter: KillingCounter = field(default_factory=KillingCounter)
-    gaps: list[Vec] = field(default_factory=list)
+    """naive_compute's c, mult and zero-denominator points (gaps) up to cap."""
+
+    def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
+        self.cm = cm
+        self.cap = cap
+        self.counter = counter if counter is not None else KillingCounter()
+        self.c: dict[Vec, Fraction] = {}
+        self.mult: dict[Vec, int] = {}
+        self.gaps: list[Vec] = []
 
     def export_rows(self):
         """Rows for every point carrying multiplicity, engine-schema order."""
@@ -109,7 +110,7 @@ def naive_compute(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    tab = OracleTable(cm=cm, cap=cap, counter=counter or KillingCounter())
+    tab = OracleTable(cm, cap, counter)
     simples = set(unit(cm.d, i) for i in range(cm.d))
 
     for h in range(1, cap + 1):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from rootmult import (
+    CartanMatrix,
     NotGCM,
     NotSymmetrizable,
     automorphisms,
@@ -139,6 +140,22 @@ def test_scaled_form_scales_outputs():
         gamma = tuple(rng.randrange(-4, 5) for _ in range(2))
         assert killing(doubled, beta, gamma) == 2 * killing(cm, beta, gamma)
         assert rho_pair(doubled, beta) == 2 * rho_pair(cm, beta)
+
+
+def test_cartan_matrix_is_an_immutable_hashable_record():
+    cm = build([[2, -1], [-3, 2]])
+    for field in ("d", "a", "sym", "s"):
+        with pytest.raises(AttributeError):
+            setattr(cm, field, None)
+    again = build([[2, -1], [-3, 2]])
+    assert cm == again and cm is not again
+    assert hash(cm) == hash(again)
+    assert len(cm) == 4 and tuple(cm) == (cm.d, cm.a, cm.sym, cm.s)
+    doubled = cm.scaled(2)
+    assert type(doubled) is CartanMatrix
+    assert (doubled.d, doubled.a) == (cm.d, cm.a)
+    assert doubled.sym == (6, 2) and doubled.s == ((12, -6), (-6, 4))
+    assert doubled != cm
 
 
 

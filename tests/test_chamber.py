@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from rootmult import (
     killing,
     preset_matrix,
 )
+from rootmult.chamber import _det_adjugate, _finite_type_inverse
 from rootmult.lattice import height, leq, vsub
 from helpers import (
     A2,
@@ -145,3 +148,85 @@ def test_e10_basis_is_its_ray_lattice():
     assert list(hb) == sorted(rays, key=lambda r: (height(r), r))
     # the affine e9 null root is the lowest generator
     assert height(hb[0]) == 30
+
+
+def fraction_gauss_jordan(rows):
+    """Reference: determinant and inverse (None when det is 0) by Gauss-Jordan
+    elimination over Fractions."""
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        p = m[col][col]
+        det *= p
+        m[col] = [x / p for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    assert det.denominator == 1
+    return int(det), [row[n:] for row in m]
+
+
+def reference_finite_type_inverse(block):
+    det, inv = fraction_gauss_jordan(block)
+    if inv is None or det < 0 or any(x < 0 for row in inv for x in row):
+        return None
+    return det, [[int(x * det) for x in row] for row in inv]
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices of order <= 6, entries -5..5; one row is optionally
+    overwritten by a multiple of another, so singular ones are common."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-2, 2))
+        m[i] = [k * x for x in m[j]]
+    return m
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(m=square_matrices())
+def test_integer_elimination_matches_fractions(m):
+    det, adj = _det_adjugate(m)
+    ref_det, ref_inv = fraction_gauss_jordan(m)
+    assert det == ref_det
+    if det == 0:
+        assert adj is None
+        return
+    n = len(m)
+    assert adj == [[x * det for x in row] for row in ref_inv]
+    product = [[sum(m[i][l] * adj[l][j] for l in range(n)) for j in range(n)]
+               for i in range(n)]
+    assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["e10", "e11", "hyp-2-3"])
+def test_suffix_blocks_keep_their_finite_type_verdict(name):
+    s = build(preset_matrix(name)).s
+    d = len(s)
+    verdicts = []
+    for k in range(d):
+        block = [row[k:] for row in s[k:]]
+        det, adj = _det_adjugate(block)
+        ref_det, ref_inv = fraction_gauss_jordan(block)
+        assert det == ref_det
+        assert adj == [[int(x * det) for x in row] for row in ref_inv]
+        verdict = _finite_type_inverse(block)
+        assert verdict == reference_finite_type_inverse(block)
+        verdicts.append(verdict is not None)
+    # the whole matrix is indefinite, the last node alone is finite type
+    assert not verdicts[0] and verdicts[-1]

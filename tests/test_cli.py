@@ -8,7 +8,16 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootmult import build, chamber, cli, compute_all, naive_compute, preset_matrix
+from rootmult import (
+    build,
+    chamber,
+    cli,
+    compute_all,
+    k_naive_closed,
+    naive_compute,
+    preset_matrix,
+)
+from rootmult.lattice import MAX_CAP
 from helpers import CLI_ENV, HYP3, ROOTMULT, brute_real_roots, symmetrizable_gcms
 
 
@@ -257,6 +266,31 @@ def test_out_file_and_stdout_agree(tmp_path):
     run_cli("--preset", "affine-a1", "--height", "6", "--out", str(out), "--quiet")
     direct = run_cli("--preset", "affine-a1", "--height", "6", "--quiet")
     assert out.read_text() == direct.stdout
+
+
+def test_metrics_ratio_beyond_the_float_range_is_null(tmp_path):
+    # A9 is finite type, so the run is short, but the closed-form naive cost
+    # at the largest height has over 300 digits: no float holds kn / ka.
+    path = tmp_path / "a9.json"
+    path.write_text(json.dumps(
+        [[2 if i == j else -(abs(i - j) == 1) for j in range(9)] for i in range(9)]))
+    proc = run_cli("--matrix", str(path), "--height", str(MAX_CAP), "--metrics",
+                   "--quiet")
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["ratio"] is None
+    assert report["k_naive_closed"] == k_naive_closed(9, MAX_CAP)
+    assert report["k_ascent"] == report["phases"]["pingpong"] > 0
+    assert len(proc.stdout.splitlines()) == 1 + 45 + 1  # header, 45 roots, report
+
+
+def test_cli_import_pulls_in_no_dataclasses_or_inspect():
+    # -S: no site module, whose preloads could hide what rootmult.cli imports
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rootmult.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_byte_identical_reruns():

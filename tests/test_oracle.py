@@ -88,6 +88,21 @@ def test_oracle_counts_only_oracle_phase():
     assert set(counter.by_phase()) == {PHASE_ORACLE}
 
 
+def test_oracle_tables_share_no_state_and_tick_the_given_counter():
+    cm = build(AFFINE_A1)
+    first, second = naive_compute(cm, 4), naive_compute(cm, 4)
+    for name in ("c", "mult", "gaps", "counter"):
+        assert getattr(first, name) is not getattr(second, name)
+    assert first.c == second.c and first.gaps == second.gaps != []
+    # the --oracle-check --metrics path: the engine's counter is passed on
+    counter = KillingCounter()
+    counter.tick("pingpong", 7)
+    tab = naive_compute(cm, 4, counter)
+    assert tab.counter is counter
+    assert counter.count("pingpong") == 7
+    assert counter.count(PHASE_ORACLE) == first.counter.count(PHASE_ORACLE) > 0
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(grid=symmetrizable_gcms(), cap=st.integers(1, 9))
 def test_engine_matches_oracle_on_random_gcms(grid, cap):
