@@ -98,15 +98,11 @@ def load_config(argv=None) -> argparse.Namespace:
 
 
 def write_table(table, fmt: str, stream) -> None:
-    """Write the table's rows as CSV, one height per write, or JSON lines."""
+    """Write the table's rows as CSV or JSON lines, one height per write."""
     if fmt == "csv":
         stream.write("coords,height,norm,c,mult,kind\n")
-        for text in table.csv_by_height():
-            stream.write(text)
-    else:
-        for row in table.export_rows():
-            out = dict(row, coords=list(row["coords"]))
-            stream.write(json.dumps(out, sort_keys=True) + "\n")
+    for text in table.lines_by_height(fmt):
+        stream.write(text)
 
 
 def run(args: argparse.Namespace) -> int:

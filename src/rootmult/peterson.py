@@ -31,11 +31,15 @@ bucket, sorted by key, is bisected on its first coordinate as a key range.
 The top bit of every field is a guard bit: with G their mask, u <= beta
 iff (key(beta) - key(u)) & G == 0, and then key(beta) - key(u) is
 key(beta - u), so the Peterson sum finds v = beta - u with one
-subtraction.  The table's records, its height index, the candidate
-buckets and pingpong's walk all hold keys.  Tuples appear only at the API
+subtraction.  The sum is one pass per chamber point over the candidate
+buckets of heights 1..top/2, each entry (key, g, gc, norm) of a vector
+with c != 0; in the bucket of height top/2 the key range ends at
+key(beta) >> 1, which is u <= v in key order, so every unordered pair
+{u, v} is visited once.  The table's records, its height index, the
+candidate buckets and pingpong's walk all hold keys.  Tuples appear only at the API
 edge: RootTable.key checks a tuple's length and range before encoding it
 (so nothing outside the box lands on another vector's key), and get, in,
-entries, roots, export_rows, csv_by_height, c_value and query_mult decode
+entries, roots, export_rows, lines_by_height, c_value and query_mult decode
 or encode there.
 
 Everything is exact and integer inside.  With g = gcd(beta), g*c(beta) is
@@ -54,7 +58,7 @@ engine.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
@@ -120,7 +124,7 @@ class RootTable:
     vector is held as its key: records maps key -> RootRecord, and the
     height index, the candidate buckets and pingpong's walk hold keys too.
     Tuples appear only at the edge: key() checks a tuple before encoding
-    it, and get, in, entries, roots, export_rows and csv_by_height decode.
+    it, and get, in, entries, roots, export_rows and lines_by_height decode.
     Filled in by one run (pingpong and the driver write to it); read-only
     once compute_all returns.  The Peterson sum reads it through candidate
     buckets, one per height, built on first use; a height at or below the
@@ -211,7 +215,7 @@ class RootTable:
     def candidates(self, h: int) -> tuple[list[int], list[tuple]]:
         """The Peterson candidate bucket of height h; freezes every height <= h.
 
-        One entry (key, h, g, gc, norm) per vector u of height h with
+        One entry (key, g, gc, norm) per vector u of height h with
         c(u) != 0: every recorded u, and every multiple u = n r (n >= 2) of
         a recorded real root r (norm > 0), whose key is n key(r), g = n,
         gc = 1 and norm n^2 (r, r).  Entries are sorted by key, which is
@@ -223,13 +227,13 @@ class RootTable:
             rows = []
             for k in by_height.get(h, ()):
                 rec = records[k]
-                rows.append((k, h, rec.g, rec.gc, rec.norm))
+                rows.append((k, rec.g, rec.gc, rec.norm))
             for n in range(2, h + 1):
                 if h % n == 0:
                     for k in by_height.get(h // n, ()):
                         rec = records[k]
                         if rec.norm > 0:
-                            rows.append((n * k, h, n, 1, n * n * rec.norm))
+                            rows.append((n * k, n, 1, n * n * rec.norm))
             rows.sort(key=itemgetter(0))
             bucket = self._buckets[h] = ([e[0] for e in rows], rows)
             self._frozen = max(self._frozen, h)
@@ -265,27 +269,31 @@ class RootTable:
                 "kind": rec.kind,
             }
 
-    def csv_by_height(self):
-        """export_rows as CSV lines, one str per height in (height, lex)
-        order: the record part of a line (",norm,c,mult,kind\\n") is formatted
-        once per distinct record, the coordinates by a %d template."""
-        records, decode, tails = self.records, self.codec.decode, {}
+    def lines_by_height(self, fmt: str):
+        """export_rows as CSV lines (no header) if fmt is "csv", else as
+        JSON lines with sorted keys, one str per height in (height, lex)
+        order.  A record's text around the coordinates and height is
+        formatted once, and each height builds one %d line template per
+        record present."""
+        records, decode, parts = self.records, self.codec.decode, {}
         for rec in set(records.values()):
             g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
-            tails[rec] = f",{rec.norm},{rec.gc // g}/{rec.g // g},{rec.mult},{rec.kind}\n"
-        coords = ";".join(["%d"] * self.cm.d)
+            c = f"{rec.gc // g}/{rec.g // g}"
+            if fmt == "csv":
+                parts[rec] = "", f",{rec.norm},{c},{rec.mult},{rec.kind}\n"
+            else:
+                parts[rec] = (f'{{"c": "{c}", "coords": [',
+                              f'"kind": "{rec.kind}", "mult": {rec.mult}, "norm": {rec.norm}}}\n')
+        sep, middle = (";", ",%d") if fmt == "csv" else (", ", '], "height": %d, ')
+        coords = sep.join(["%d"] * self.cm.d)
         for h in sorted(self._by_height):
-            row = f"{coords},{h}"
-            yield "".join([row % decode(k) + tails[records[k]]
-                           for k in sorted(self._by_height[h])])
-
-
-def _gc(table: RootTable, key: int) -> int:
-    """gcd(gamma) * c(gamma) for the vector of key: the record's gc, 1 for
-    an unrecorded multiple of a recorded real root (c = 1/n at gcd n),
-    else 0."""
-    found = _lookup(table, key)
-    return found[1] if found else 0
+            row = coords + middle % h
+            keys = sorted(self._by_height[h])
+            template = {}
+            for rec in {records[k] for k in keys}:
+                head, tail = parts[rec]
+                template[rec] = head + row + tail
+            yield "".join([template[records[k]] % decode(k) for k in keys])
 
 
 def _lookup(table: RootTable, key: int) -> tuple[int, int, int] | None:
@@ -308,83 +316,66 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
 
     Recorded vectors answer directly.  An unrecorded gamma can only have a
     nonzero c-value if gamma = n * r for a recorded real root r, in which
-    case c(gamma) = 1/n; everything else is 0, and so is every gamma
-    outside the table's box (wrong length, or a coordinate outside
-    0..cap).  Pure lookup, no form evaluations.
+    case c(gamma) = 1/n; everything else is 0, and so is a gamma of the
+    wrong length or with a negative coordinate.  A non-negative gamma above
+    the table's cap raises HeightExceedsCap, as query_mult does: the table
+    cannot tell its c-value.  Pure lookup, no form evaluations.
     """
-    key = table.key(gamma)
-    gc = _gc(table, key) if key is not None else 0
-    return Fraction(gc, coord_gcd(gamma)) if gc else Fraction(0)
+    if len(gamma) != table.cm.d or min(gamma) < 0:
+        return Fraction(0)
+    if height(gamma) > table.cap:
+        raise HeightExceedsCap(f"height {height(gamma)} exceeds table cap {table.cap}")
+    found = _lookup(table, table.key(gamma))
+    return Fraction(found[1], found[0]) if found else Fraction(0)
 
 
-def _pair_candidates(table: RootTable, key: int, top: int) -> list[tuple]:
-    """Candidate lower halves u of decompositions beta = u + v with c(u) != 0.
-
-    beta is given by its key and its height top.  Every bucket entry
-    (key, h, g, gc, norm) with h <= top/2 and u <= beta componentwise.
-    Chamber points are minimal in height within their orbit, so once beta
-    is reached nothing more is recorded at height <= top/2 and those
-    buckets are final.  In the bucket of height h, u <= beta forces
-    h - (top - beta_0) <= u_0 <= beta_0, a key range (coordinate 0 is the
-    top field) that the guard-mask test u <= beta of KeyCodec then filters
-    (for rank 2 the range is exact).
-    """
-    codec = table.codec
-    guard, shift = codec.guard, codec.top_shift
-    b0 = key >> shift
-    rest = top - b0
-    out: list[tuple] = []
-    for h in range(1, top // 2 + 1):
-        keys, entries = table.candidates(h)
-        lo = bisect_left(keys, max(h - rest, 0) << shift)
-        hi = bisect_left(keys, (b0 + 1) << shift, lo)
-        out += [e for e in entries[lo:hi] if not (key - e[0]) & guard]
-    return out
-
-
-def _sum_terms(table: RootTable, key: int, top: int, norm: int, cands) -> tuple[int, int]:
+def _peterson_sum(table: RootTable, key: int, top: int, norm: int) -> tuple[int, int]:
     """The Peterson sum at beta (key, height top, norm (beta, beta)) as an
     integer fraction (numerator, denominator).
 
-    A pair contributes factor * (u, v) * c(u) * c(v) with c = gc / g, so its
-    integer numerator factor * (u, v) * gc_u * gc_v is accumulated under the
-    denominator g_u * g_v; the few denominators are combined once at the
-    end.  2 (u, v) = (beta, beta) - (u, u) - (v, v) comes from stored norms,
-    so no dot product is taken.  Unordered pairs are visited once and
-    doubled: every u below half the height pairs with a v above it, and in
-    the last bucket (height top/2, if top is even) u < v in key order is
-    doubled, u = v counts once and u > v was visited from the other side.
-    The cost model still charges one form per pair: one bulk tick counts
-    them and the denominator's (beta, beta).
+    Chamber points are minimal in height within their orbit, so once beta
+    is reached the buckets of height <= top/2 are final.  In the bucket of
+    height h, u <= beta forces h - (top - beta_0) <= u_0 <= beta_0, a key
+    range (coordinate 0 is the top field) that the guard-mask test
+    u <= beta then filters (for rank 2 the range is exact).  At h = top/2
+    the range ends at key >> 1 instead: ku <= key - ku iff ku <= key >> 1,
+    so each unordered pair {u, v} is visited once, from u <= v.  A pair
+    adds 2 (u, v) c(u) c(v), half that if u = v (beta = 2u), with c = gc/g
+    and 2 (u, v) = (beta, beta) - (u, u) - (v, v) from stored norms: an
+    integer numerator under the denominator g_u * g_v, the few
+    denominators combined once at the end.  The cost model still charges
+    one form per pair, in one bulk tick with the denominator's (beta, beta).
     """
+    codec = table.codec
+    guard, shift = codec.guard, codec.top_shift
     get = table.records.get
+    b0 = key >> shift
+    rest = top - b0
     by_den: defaultdict[int, int] = defaultdict(int)
-    skipped = 0
-    middle = len(cands)  # cands come in height order
-    while middle and 2 * cands[middle - 1][1] == top:
-        middle -= 1
-    for ku, _, g_u, gc_u, norm_u in cands[:middle]:
-        kv = key - ku
-        rec = get(kv)
-        if rec is not None:
-            g_v, gc_v, _, norm_v = rec
+    forms = 1  # (beta, beta)
+    for h in range(1, top // 2 + 1):
+        keys, entries = table.candidates(h)
+        lo = bisect_left(keys, max(h - rest, 0) << shift)
+        if 2 * h < top:
+            hi = bisect_left(keys, (b0 + 1) << shift, lo)
         else:
-            found = _lookup(table, kv)
-            if found is None:
-                skipped += 1
+            hi = bisect_right(keys, key >> 1, lo)
+        for ku, g_u, gc_u, norm_u in entries[lo:hi]:
+            kv = key - ku
+            if kv & guard:
                 continue
-            g_v, gc_v, norm_v = found
-        by_den[g_u * g_v] += gc_u * gc_v * (norm - norm_u - norm_v)
-    for ku, _, g_u, gc_u, norm_u in cands[middle:]:
-        kv = key - ku
-        found = _lookup(table, kv) if ku <= kv else None
-        if found is None:
-            skipped += 1
-            continue
-        g_v, gc_v, norm_v = found
-        term = gc_u * gc_v * (norm - norm_u - norm_v)
-        by_den[g_u * g_v] += term if ku < kv else term >> 1
-    table.counter.tick(PHASE_SUM, len(cands) - skipped + 1)  # + 1: (beta, beta)
+            rec = get(kv)
+            if rec is not None:
+                g_v, gc_v, _, norm_v = rec
+            else:
+                found = _lookup(table, kv)
+                if found is None:
+                    continue
+                g_v, gc_v, norm_v = found
+            forms += 1
+            term = gc_u * gc_v * (norm - norm_u - norm_v)
+            by_den[g_u * g_v] += term if ku != kv else term >> 1
+    table.counter.tick(PHASE_SUM, forms)
     common = lcm(*by_den)
     return sum(num * (common // den) for den, num in by_den.items()), common
 
@@ -402,7 +393,7 @@ def peterson_c(table: RootTable, beta: Vec) -> Fraction:
     Every chamber point of smaller height must already have been processed
     and every known root pingponged; the sum then ranges over exactly the
     decompositions with both c-values nonzero.  Every evaluated form ticks
-    the counter, in one bulk tick from _sum_terms that includes the
+    the counter, in one bulk tick from _peterson_sum that includes the
     denominator's (beta, beta); a zero denominator raises before any tick.
     """
     norm = killing(table.cm, beta, beta)
@@ -410,7 +401,7 @@ def peterson_c(table: RootTable, beta: Vec) -> Fraction:
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
     key, top = _positive_key(table, beta), height(beta)
-    num, den = _sum_terms(table, key, top, norm, _pair_candidates(table, key, top))
+    num, den = _peterson_sum(table, key, top, norm)
     return Fraction(num, den * denom)
 
 
@@ -431,7 +422,9 @@ def mobius_mult(table: RootTable, beta: Vec, gc: int) -> int:
         if g % n == 0:
             mu = mobius(n)
             if mu:
-                total += mu * _gc(table, key // n)
+                found = _lookup(table, key // n)
+                if found:
+                    total += mu * found[1]
     if total < 0 or total % g:
         raise NonIntegerMultiplicity(
             f"m({render(beta)}) = {Fraction(total, g)} is not a non-negative integer"

@@ -169,17 +169,26 @@ def reference_csv(table):
     return "".join(lines)
 
 
-def written_csv(table):
+def reference_json(table):
+    """The JSON lines formatted row by row from export_rows, as the JSON
+    writer did before it shared the CSV writer's templates."""
+    return "".join(json.dumps(dict(row, coords=list(row["coords"])), sort_keys=True) + "\n"
+                   for row in table.export_rows())
+
+
+def written(table, fmt="csv"):
     stream = io.StringIO()
-    cli.write_table(table, "csv", stream)
+    cli.write_table(table, fmt, stream)
     return stream.getvalue()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(grid=symmetrizable_gcms(max_rank=4), cap=st.integers(1, 14))
 def test_csv_writer_matches_row_formatting(grid, cap):
+    # one writer formats both: CSV and JSON lines against their references
     table = compute_all(build(grid), cap)
-    assert written_csv(table) == reference_csv(table)
+    assert written(table, "csv") == reference_csv(table)
+    assert written(table, "json") == reference_json(table)
 
 
 @pytest.mark.parametrize("preset,height", [
@@ -197,7 +206,7 @@ def test_csv_c_in_lowest_terms():
     table = compute_all(build(HYP3), 10)
     rec = table.get((4, 6))
     assert (rec.g, rec.gc) == (2, 20)
-    text = written_csv(table)
+    text = written(table)
     assert "\n4;6,10,-40,10/1,9,imaginary\n" in text
     assert text == reference_csv(table)
 
@@ -212,12 +221,19 @@ def test_csv_export_writes_one_height_per_call():
             writes.append(text)
 
     table = compute_all(build(preset_matrix("e10")), 40)
-    cli.write_table(table, "csv", Recorder())
-    assert writes[0] == "coords,height,norm,c,mult,kind\n"
-    heights = [{line.split(",")[1] for line in text.splitlines()} for text in writes[1:]]
-    assert all(len(h) == 1 for h in heights)
-    assert len(heights) == len({h for hs in heights for h in hs}) == 40
-    assert "".join(writes) == reference_csv(table)
+    for fmt, reference, height_of in (
+        ("csv", reference_csv, lambda line: line.split(",")[1]),
+        ("json", reference_json, lambda line: json.loads(line)["height"]),
+    ):
+        writes.clear()
+        cli.write_table(table, fmt, Recorder())
+        if fmt == "csv":
+            assert writes.pop(0) == "coords,height,norm,c,mult,kind\n"
+        heights = [{height_of(line) for line in text.splitlines()} for text in writes]
+        assert all(len(h) == 1 for h in heights)
+        assert len(heights) == len({h for hs in heights for h in hs}) == 40
+        assert "".join(writes) == reference(table).removeprefix(
+            "coords,height,norm,c,mult,kind\n")
 
 
 def test_not_symmetrizable_exits_3(tmp_path):

@@ -19,18 +19,21 @@ from rootmult import (
     preset_matrix,
     query_mult,
     reflect,
+    rho_pair,
     subroots,
 )
 from rootmult import peterson
-from rootmult.lattice import height, vscale
+from rootmult.lattice import height, vscale, vsub
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
     RootTable,
     ZeroDenominator,
-    _pair_candidates,
 )
-from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, symmetrizable_gcms
+from rootmult.metrics import PHASE_SUM
+from helpers import (
+    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, symmetrizable_gcms,
+)
 
 
 def test_peterson_c_affine_null_root():
@@ -113,20 +116,35 @@ def test_record_below_a_frozen_height_raises():
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(grid=symmetrizable_gcms(), cap=st.integers(1, 12))
-def test_indexed_candidates_equal_a_brute_force_scan(grid, cap):
+def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
+    # At every chamber point: the value against the recurrence summed over
+    # all of subroots(beta), the form count against the pairs the one-pass
+    # sum should visit (u below half the height, or at half with u <= v),
+    # and each candidate bucket against a scan of its height.
     cm = build(grid)
     table = compute_all(cm, cap)
     decode = table.codec.decode
     for beta in chamber_points(cm, cap):
-        half = height(beta) // 2
-        cands = _pair_candidates(table, table.key(beta), height(beta))
-        expected = {u for u in subroots(beta)
-                    if height(u) <= half and c_value(table, u)}
-        assert sorted(decode(e[0]) for e in cands) == sorted(expected)
-        for key, h, g, gc, norm in cands:
-            u = decode(key)
-            assert Fraction(gc, g) == c_value(table, u) and g == coord_gcd(u)
-            assert norm == killing(cm, u, u) and h == height(u)
+        top = height(beta)
+        total, visited = Fraction(0), 0
+        for u in subroots(beta):
+            v = vsub(beta, u)
+            cu, cv = c_value(table, u), c_value(table, v)
+            if cu and cv:
+                total += killing(cm, u, v) * cu * cv
+                visited += 2 * height(u) < top or (2 * height(u) == top and u <= v)
+        before = table.counter.count(PHASE_SUM)
+        assert peterson_c(table, beta) == total / (killing(cm, beta, beta) - rho_pair(cm, beta))
+        assert table.counter.count(PHASE_SUM) - before == 1 + visited
+        for h in range(1, top // 2 + 1):
+            keys, entries = table.candidates(h)
+            assert keys == [e[0] for e in entries]
+            expected = {u: c_value(table, u) for u in box_points(cm.d, h) if height(u) == h}
+            assert sorted(decode(k) for k in keys) == sorted(u for u, c in expected.items() if c)
+            for key, g, gc, norm in entries:
+                u = decode(key)
+                assert Fraction(gc, g) == expected[u] and g == coord_gcd(u)
+                assert norm == killing(cm, u, u)
 
 
 def test_c_value_covers_scaled_reals_without_storing():
@@ -327,6 +345,7 @@ def test_tuples_outside_the_box_reach_no_key():
     for beta in ((1,), (0, 256), (300, 0), (-1, 3)):
         assert table.get(beta) is None and beta not in table
         assert beta not in table.entries
+    for beta in ((1,), (-1, 3)):
         assert c_value(table, beta) == 0
     assert query_mult(table, (-1, 3)) == 0
     with pytest.raises(ValueError, match="dimension"):
@@ -334,6 +353,25 @@ def test_tuples_outside_the_box_reach_no_key():
     for beta in ((0, 256), (300, 0)):
         with pytest.raises(HeightExceedsCap):
             query_mult(table, beta)
+        with pytest.raises(HeightExceedsCap):
+            c_value(table, beta)
+
+
+def test_c_value_above_the_cap_raises():
+    # Above the cap the table cannot tell c; these vectors have c != 0
+    # (affine-a1 at height 6: c(3, 3) = 4/3 and c(6, 0) = 1/6; hyp-2-3:
+    # c(2, 3) = 2), so answering 0 would be wrong.
+    table = compute_all(build(AFFINE_A1), 5)
+    for beta in ((3, 3), (6, 0)):
+        with pytest.raises(HeightExceedsCap, match="exceeds table cap 5"):
+            c_value(table, beta)
+    six = compute_all(build(AFFINE_A1), 6)
+    assert c_value(six, (3, 3)) == Fraction(4, 3) and c_value(six, (6, 0)) == Fraction(1, 6)
+    with pytest.raises(HeightExceedsCap):
+        c_value(compute_all(build(HYP3), 4), (2, 3))
+    assert c_value(compute_all(build(HYP3), 5), (2, 3)) == 2
+    # below the cap, vectors of mixed or negative sign still answer 0
+    assert c_value(table, (-3, 3)) == c_value(table, (-6, 0)) == 0
 
 
 def test_export_rows_sorted_and_schema():
