@@ -30,6 +30,7 @@ fraction-free Gauss-Jordan elimination whose divisions are exact.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .cartan import CartanMatrix
 from .lattice import Vec, height, leq, vsub
@@ -192,10 +193,9 @@ def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[V
         if blocks[k] is not None:
             det, adj = blocks[k]
             need = [-r for r in rows[k:]]
-            u = [sum(a * b for a, b in zip(arow, need)) for arow in adj]
+            u = [sum(map(mul, arow, need)) for arow in adj]
             if any(v < 0 for v in u) or any(
-                det * rows[j] + sum(a * b for a, b in zip(s[j][k:], u)) > 0
-                for j in range(k)
+                det * rows[j] + sum(map(mul, s[j][k:], u)) > 0 for j in range(k)
             ):
                 return
             hi = min(hi, u[0] // det)

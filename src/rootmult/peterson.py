@@ -316,12 +316,15 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
 
     Recorded vectors answer directly.  An unrecorded gamma can only have a
     nonzero c-value if gamma = n * r for a recorded real root r, in which
-    case c(gamma) = 1/n; everything else is 0, and so is a gamma of the
-    wrong length or with a negative coordinate.  A non-negative gamma above
-    the table's cap raises HeightExceedsCap, as query_mult does: the table
-    cannot tell its c-value.  Pure lookup, no form evaluations.
+    case c(gamma) = 1/n; everything else is 0, and so is a gamma with a
+    negative coordinate.  A gamma of the wrong length raises ValueError and
+    a non-negative gamma above the table's cap HeightExceedsCap, as in
+    query_mult: the table cannot tell its c-value.  Pure lookup, no form
+    evaluations.
     """
-    if len(gamma) != table.cm.d or min(gamma) < 0:
+    if len(gamma) != table.cm.d:
+        raise ValueError("dimension mismatch")
+    if min(gamma) < 0:
         return Fraction(0)
     if height(gamma) > table.cap:
         raise HeightExceedsCap(f"height {height(gamma)} exceeds table cap {table.cap}")

@@ -82,14 +82,16 @@ def brute_real_roots(cm, cap):
 
 
 def reflect_walk(cm, cap, seed, seen):
-    """The images a breadth-first walk from seed adds to seen, in visit order:
-    every positive image of height <= cap not yet in seen, taking all d
-    reflections of each walked vector through reflect."""
+    """The images a breadth-first walk of raising moves from seed adds to
+    seen, in visit order: every positive image of height above the walked
+    vector's and <= cap not yet in seen, trying all d reflections of each
+    walked vector through reflect."""
     walk = [seed]
     for beta in walk:
         for i in range(cm.d):
             image = reflect(cm, i, beta)
-            if image not in seen and is_positive(image) and height(image) <= cap:
+            if (image not in seen and is_positive(image)
+                    and height(beta) < height(image) <= cap):
                 seen.add(image)
                 walk.append(image)
     return tuple(walk[1:])

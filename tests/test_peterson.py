@@ -345,9 +345,10 @@ def test_tuples_outside_the_box_reach_no_key():
     for beta in ((1,), (0, 256), (300, 0), (-1, 3)):
         assert table.get(beta) is None and beta not in table
         assert beta not in table.entries
-    for beta in ((1,), (-1, 3)):
-        assert c_value(table, beta) == 0
+    assert c_value(table, (-1, 3)) == 0
     assert query_mult(table, (-1, 3)) == 0
+    with pytest.raises(ValueError, match="dimension"):
+        c_value(table, (1,))
     with pytest.raises(ValueError, match="dimension"):
         query_mult(table, (1,))
     for beta in ((0, 256), (300, 0)):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootmult import RootTable, build, pingpong, reflect
+from rootmult.lattice import height, is_positive
 from rootmult.metrics import PHASE_PINGPONG
 from rootmult.peterson import compute_all
 from helpers import (
@@ -102,6 +103,18 @@ def test_pingpong_requires_recorded_seed():
         pingpong(table, (1, 1))
 
 
+def test_pingpong_refuses_a_seed_that_is_not_lowest_in_its_orbit():
+    # (1, 3) = s_1(1, 0) has p = A(1, 3) = (-7, 3): s_1 takes it back down
+    # to (1, 0), so a walk of raising moves from it would miss that part
+    # of its orbit.  The refusal records and charges nothing.
+    cm = build(HYP3)
+    table = fresh_table(cm, 12)
+    table.record((1, 3), table.make_record((1, 3), 1, 1))
+    with pytest.raises(ValueError, match="not the lowest member"):
+        pingpong(table, (1, 3))
+    assert len(table) == 3 and table.counter.count(PHASE_PINGPONG) == 0
+
+
 def test_pingpong_idempotent():
     cm = build(AFFINE_A1)
     table = fresh_table(cm, 9)
@@ -113,9 +126,10 @@ def test_pingpong_idempotent():
 
 
 def assert_walks_match_reflect_walk(grid, cap):
-    # Each simple root's walk returns what a plain walk of reflect adds, in
-    # its order, for d forms per walked vector; together they record
-    # exactly the real roots.
+    # Each simple root's walk returns what a plain raising walk of reflect
+    # adds, in its order, for d forms per walked vector; together they
+    # record exactly the real roots, which brute_real_roots finds walking
+    # both ways.
     cm = build(grid)
     table = fresh_table(cm, cap)
     seen = set(table.entries)
@@ -153,3 +167,21 @@ def test_orbit_members_share_stored_values():
             other = table.get(image)
             if other is not None:
                 assert (other.c, other.mult) == (rec.c, rec.mult)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(), cap=st.integers(1, 20))
+def test_compute_all_tables_are_closed_under_all_reflections(grid, cap):
+    # The walks take raising moves only; the table they leave must still be
+    # closed under every s_i, lowering ones included, within the cap, with
+    # equal values across each orbit.  Imaginary orbits are covered too,
+    # which the real-root closure above cannot check.
+    cm = build(grid)
+    entries = compute_all(cm, cap).entries
+    for beta, rec in entries.items():
+        for i in range(cm.d):
+            image = reflect(cm, i, beta)
+            if is_positive(image) and height(image) <= cap:
+                other = entries.get(image)
+                assert other is not None, f"s_{i}{beta} = {image} not recorded"
+                assert (other.gc, other.mult) == (rec.gc, rec.mult)
