@@ -15,6 +15,7 @@ from .cartan import (
     automorphisms,
     build,
     killing,
+    reflect,
     rho_pair,
 )
 from .chamber import (
@@ -42,10 +43,10 @@ from .peterson import (
     compute_all,
     mobius_mult,
     peterson_c,
+    pingpong,
     query_mult,
 )
 from .presets import preset_matrix, tree_matrix
-from .weyl import pingpong, reflect
 
 __version__ = "0.1.0"
 
@@ -56,6 +57,7 @@ __all__ = [
     "automorphisms",
     "build",
     "killing",
+    "reflect",
     "rho_pair",
     "CapExceeded",
     "chamber_points",
@@ -83,9 +85,8 @@ __all__ = [
     "compute_all",
     "mobius_mult",
     "peterson_c",
+    "pingpong",
     "query_mult",
     "preset_matrix",
     "tree_matrix",
-    "pingpong",
-    "reflect",
 ]

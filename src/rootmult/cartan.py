@@ -8,7 +8,9 @@ chamber membership) is invariant under that scale.  The chamber's algebra
 on blocks of S stays in integers too: a fraction-free elimination whose
 intermediate entries are minors, so each of its divisions is exact.  The
 symmetrizer is canonicalized to coprime positive integers so output is
-reproducible.
+reproducible.  killing (the form) and reflect (a fundamental reflection)
+are pure functions on tuples, which the tests use as arbiters for the
+engine's packed-key arithmetic.
 """
 
 from __future__ import annotations
@@ -178,6 +180,22 @@ def killing(cm: CartanMatrix, beta: Vec, gamma: Vec) -> int:
             row = s[i]
             total += bi * sum(row[j] * gj for j, gj in enumerate(gamma) if gj)
     return total
+
+
+def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
+    """Image of beta under the i-th fundamental reflection (0-based index):
+
+        s_i(beta) = beta - (sum_j a_ij beta_j) alpha_i
+
+    A pure function and the public single-step API; the tests check
+    pingpong's walk against a plain walk of it.
+    """
+    if not 0 <= i < cm.d:
+        raise IndexError(f"reflection index {i} out of range for rank {cm.d}")
+    if len(beta) != cm.d:
+        raise ValueError("dimension mismatch")
+    coef = sum(aij * bj for aij, bj in zip(cm.a[i], beta) if bj)
+    return beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
 
 
 def rho_pair(cm: CartanMatrix, beta: Vec) -> int:

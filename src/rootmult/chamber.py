@@ -19,8 +19,8 @@ Hilbert basis is computed only on request:
    chamber points of that box in (height, lex) order and keep each point
    that no earlier generator reduces.
 
-A generator bound above max_height raises CapExceeded instead of starting
-a completion that may not finish.
+A generator bound of height above 10 * d * max |S_ij| raises CapExceeded
+instead of starting a completion that may not finish.
 
 All of it is integer arithmetic.  Determinants and adjugates (the
 unimodularity test, the finite-type bound of the DFS) come from a
@@ -217,15 +217,14 @@ def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[V
     return sorted(out, key=lambda v: (height(v), v))
 
 
-def hilbert_basis(cm: CartanMatrix, max_height: int | None = None) -> tuple[Vec, ...]:
+def hilbert_basis(cm: CartanMatrix) -> tuple[Vec, ...]:
     """Minimal generating set of the chamber semigroup, sorted (height, lex).
 
-    max_height bounds the height of any generator the completion is willing
-    to certify (default 10 * d * max |S_ij|); CapExceeded signals that the
-    basis could not be completed within the bound.
+    max_height = 10 * d * max |S_ij| bounds the height of any generator the
+    completion is willing to certify; CapExceeded signals that the basis
+    could not be completed within the bound.
     """
-    if max_height is None:
-        max_height = 10 * cm.d * max(abs(x) for row in cm.s for x in row)
+    max_height = 10 * cm.d * max(abs(x) for row in cm.s for x in row)
 
     rays = extreme_rays(cm)
     if len(rays) <= 1:

@@ -25,10 +25,9 @@ from contextlib import nullcontext
 from . import __version__
 from .cartan import NotGCM, NotSymmetrizable, build
 from .chamber import CapExceeded, hilbert_basis
-from .lattice import MAX_CAP
 from .metrics import KillingCounter, counter_snapshot
 from .oracle import compare_tables, naive_compute
-from .peterson import NonIntegerMultiplicity, compute_all
+from .peterson import MAX_CAP, NonIntegerMultiplicity, compute_all
 from .presets import PRESET_NAMES, preset_matrix
 
 ORACLE_MAX_RANK = 3
@@ -89,7 +88,7 @@ def load_config(argv=None) -> argparse.Namespace:
         try:
             with open(args.matrix, "r", encoding="utf-8") as fh:
                 grid = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise ValueError(f"cannot read matrix file: {e}") from None
         if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
             raise ValueError("matrix file must hold a nested array")

@@ -19,7 +19,7 @@ from typing import Iterator
 from .cartan import CartanMatrix, killing, rho_pair
 from .lattice import Vec, coord_gcd, height, mobius, render, subroots, unit, vdiv
 from .metrics import PHASE_ORACLE, KillingCounter
-from .peterson import NonIntegerMultiplicity
+from .peterson import NonIntegerMultiplicity, c_value, query_mult
 
 
 class OracleTable:
@@ -158,8 +158,6 @@ def compare_tables(table, tab: OracleTable) -> list[dict]:
     Checks every positive lattice point up to the smaller cap where either
     side reports a nonzero c or multiplicity; exact rational comparison.
     """
-    from .peterson import c_value, query_mult
-
     cap = min(table.cap, tab.cap)
     mismatches = []
     for h in range(1, cap + 1):

@@ -23,24 +23,67 @@ first point in (height, lex) order, and its value is reused at the other
 points; every point still gets its own Moebius inversion, record and
 pingpong, since the images lie in different Weyl orbits.
 
-Every vector inside the engine is one int, its KeyCodec key for the box
-[0, cap]^d: a field of w bytes per coordinate (w the smallest power of
-two with cap < 2^(8w - 1)), coordinate 0 in the most significant field.
-Int order is therefore lex order, so export sorts ints and a candidate
-bucket, sorted by key, is bisected on its first coordinate as a key range.
-The top bit of every field is a guard bit: with G their mask, u <= beta
-iff (key(beta) - key(u)) & G == 0, and then key(beta) - key(u) is
-key(beta - u), so the Peterson sum finds v = beta - u with one
-subtraction.  The sum is one pass per chamber point over the candidate
-buckets of heights 1..top/2, each entry (key, g, gc, norm) of a vector
-with c != 0; in the bucket of height top/2 the key range ends at
-key(beta) >> 1, which is u <= v in key order, so every unordered pair
-{u, v} is visited once.  The table's records, its height index, the
-candidate buckets and pingpong's walk all hold keys.  Tuples appear only at the API
-edge: RootTable.key checks a tuple's length and range before encoding it
-(so nothing outside the box lands on another vector's key), and get, in,
-entries, roots, export_rows, lines_by_height, c_value and query_mult decode
-or encode there.
+Every vector inside the engine is one non-negative int, its KeyCodec key
+for the box [0, cap]^d.  Each coordinate gets a field of w bytes, w the
+smallest power of two with cap < 2^(8w - 1), so the top bit of every field
+(its guard bit) is clear in every key.  Coordinate 0 takes the most
+significant field, so int order is lex order: export sorts ints, and a
+candidate bucket, sorted by key, is bisected on its first coordinate as a
+key range.  With G the mask of the guard bits:
+
+- u <= beta componentwise iff (key(beta) - key(u)) & G == 0: if it holds,
+  no field borrows and each field of the difference is beta_i - u_i, in
+  [0, 2^(8w - 1)); if not, the lowest field with u_i > beta_i takes no
+  borrow from below and wraps to at least 2^(8w - 1), so its guard bit is
+  set;
+- then key(beta) - key(u) is key(beta - u), so the Peterson sum finds
+  v = beta - u with one subtraction;
+- key(n gamma) = n key(gamma), so exact division by n divides gamma;
+- s_i changes only coordinate i, so an image is key - (p << shifts[i]);
+- the height is the top field of key * ones, exact whenever the
+  coordinates sum below 2^(8w) (no field of the product carries), which
+  holds for every vector of the box with height <= cap.
+
+The table's records, its height index, the candidate buckets and
+pingpong's walk all hold keys.  Tuples appear only at the API edge:
+RootTable.key checks a tuple's length and range before encoding it (so
+nothing outside the box lands on another vector's key), and get, in,
+entries, roots, export_rows, lines_by_height, c_value and query_mult
+decode or encode there.  The Peterson sum is one pass per chamber point
+over the candidate buckets of heights 1..top/2, each entry
+(key, g, gc, norm) of a vector with c != 0; in the bucket of height top/2
+the key range ends at key(beta) >> 1, which is u <= v in key order, so
+every unordered pair {u, v} is visited once.
+
+pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
+member of its orbit, it takes only the reflections that raise the height,
+keeps every image of height at most the cap, and records each new member
+with the seed's own RootRecord: its values are Weyl invariants, so the
+whole orbit shares one record object.  The root table is the walk's only
+visited set, so no recorded vector is reflected twice.
+
+Raising moves alone reach the whole orbit below the cap.  A positive root
+beta that is not a simple root and not in the fundamental chamber has an i
+with p_i = <beta, alpha_i^vee> > 0 whose image s_i(beta) is a positive root
+of smaller height (Kac, Infinite-dimensional Lie algebras, Ch. 5), so
+every positive root of height <= cap comes down, through positive roots of
+falling height, to a simple root or to the chamber point of its orbit.
+Read upwards, that chain is a walk of raising moves, none above beta's
+height.  compute_all seeds exactly those lowest members and each walk
+expands every vector it records, so a lowering move could only find a
+vector that is already recorded, and the walk does not try one.
+
+The walk carries, for each vector it has yet to expand, its height and its
+pairing vector p = A beta.  The reflection s_i changes only coordinate i,
+by -p_i, so it raises the height exactly when p_i < 0; the image is then
+positive, its key is key - (p_i << shifts[i]), its height h - p_i, and its
+pairing vector p - p_i * (column i of A), a scaled column built once per
+(i, p_i) in a walk.  No tuple of coordinates is built per image; the table
+records each new key under its carried height (RootTable.record_key), and
+the walk returns keys.  cartan.reflect is the pure single-step API on
+tuples and the tests' arbiter for the walk; pingpong does not call it.
+The counter charges the cost model's d reflections (one form-equivalent
+evaluation each) per walked vector, in one bulk tick per walk.
 
 Everything is exact and integer inside.  With g = gcd(beta), g*c(beta) is
 an integer, because c(beta) = sum_{n | g} m(beta/n)/n; compute_all checks
@@ -58,21 +101,57 @@ engine.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, killing, rho_pair
 from .chamber import chamber_points
-from .lattice import KeyCodec, Vec, coord_gcd, height, mobius, render, unit
-from .metrics import PHASE_SUM, KillingCounter
-from .weyl import pingpong
+from .lattice import Vec, coord_gcd, height, mobius, render, unit
+from .metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
 
 KIND_REAL = "real"
 KIND_IMAGINARY = "imaginary"
+
+MAX_CAP = (1 << 63) - 1  # the widest field KeyCodec packs is 8 bytes
+
+
+class KeyCodec:
+    """One non-negative int per vector of the box [0, cap]^d, in the
+    layout of the module docstring.
+
+    encode does not check its input: callers ensure 0 <= v_i <= cap (the
+    root table's key() does).  decode is one struct unpack.
+    """
+
+    def __init__(self, d: int, cap: int):
+        if cap > MAX_CAP:
+            raise ValueError(f"cap {cap} is above {MAX_CAP}")
+        w = 1
+        while cap >> (8 * w - 1):
+            w *= 2
+        bits = 8 * w
+        self.size = w * d
+        self.top_shift = bits * (d - 1)
+        self.shifts = tuple(range(self.top_shift, -1, -bits))  # coordinate i's field
+        self.mask = (1 << bits) - 1
+        self.limit = 1 << (bits * d)
+        self.ones = (self.limit - 1) // self.mask  # 1 in every field
+        self.guard = self.ones << (bits - 1)  # the top bit of every field
+        self._struct = struct.Struct(f">{d}{'BHIQ'[w.bit_length() - 1]}")
+
+    def encode(self, v: Vec) -> int:
+        return int.from_bytes(self._struct.pack(*v), "big")
+
+    def decode(self, key: int) -> Vec:
+        return self._struct.unpack(key.to_bytes(self.size, "big"))
+
+    def height(self, key: int) -> int:
+        return (key * self.ones >> self.top_shift) & self.mask
 
 
 class NonIntegerMultiplicity(ArithmeticError):
@@ -120,15 +199,12 @@ class RootTable:
     """Graded store of every discovered vector with its orbit's RootRecord.
 
     The engine's one state object: it carries the Cartan matrix, the cap,
-    the counter of its run and the KeyCodec of the box [0, cap]^d.  Every
-    vector is held as its key: records maps key -> RootRecord, and the
-    height index, the candidate buckets and pingpong's walk hold keys too.
-    Tuples appear only at the edge: key() checks a tuple before encoding
-    it, and get, in, entries, roots, export_rows and lines_by_height decode.
-    Filled in by one run (pingpong and the driver write to it); read-only
-    once compute_all returns.  The Peterson sum reads it through candidate
-    buckets, one per height, built on first use; a height at or below the
-    highest built bucket is frozen and takes no further records.
+    the counter of its run and the KeyCodec of the box [0, cap]^d, and
+    records maps key -> RootRecord.  Filled in by one run (pingpong and
+    the driver write to it); read-only once compute_all returns.  The
+    Peterson sum reads it through candidate buckets, one per height, built
+    on first use; a height at or below the highest built bucket is frozen
+    and takes no further records.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -294,6 +370,70 @@ class RootTable:
                 head, tail = parts[rec]
                 template[rec] = head + row + tail
             yield "".join([template[records[k]] % decode(k) for k in keys])
+
+
+def pingpong(table: RootTable, seed: Vec) -> tuple[int, ...]:
+    """Close the seed's Weyl orbit under the table's height cap, by ascent.
+
+    The seed must be recorded and must be the lowest member of its orbit,
+    as compute_all's seeds (simple roots and chamber points) are: a seed
+    with some p_i > 0 and seed_i >= p_i, whose image s_i(seed) is positive
+    and lower, raises ValueError, since the walk would miss what lies above
+    that image.
+
+    Walks breadth-first from the seed, on keys, by the raising moves of
+    height <= cap (module docstring).  An image that the table does not
+    hold is recorded with the seed's record object and walked in turn; one
+    it holds must carry that record or equal values (E10's simple roots
+    are recorded apart but share one orbit) and is not walked again.
+    Returns the keys of the new records in record order (() on a second
+    run); table.codec.decode turns one into its vector.  Ticks
+    d * len(walk) pingpong forms on table.counter once, at its end.
+    """
+    record = table.get(seed)
+    if record is None:
+        raise KeyError(f"pingpong seed {seed} is not recorded in the table")
+    cm, cap, codec = table.cm, table.cap, table.codec
+    p = tuple(sum(map(mul, row, seed)) for row in cm.a)
+    for i, (p_i, b_i) in enumerate(zip(p, seed)):
+        if 0 < p_i <= b_i:
+            raise ValueError(
+                f"pingpong seed {seed} is not the lowest member of its orbit: "
+                f"reflection {i} lowers it"
+            )
+    get, record_key = table.records.get, table.record_key
+    shifts = codec.shifts
+    columns = tuple(zip(*cm.a))
+    scaled = {}  # (i, p_i) -> p_i * (column i of A), built on first use
+
+    walk = [codec.encode(seed)]
+    # Height and pairing vector of the walked vectors not yet expanded, in
+    # walk order: each is dropped once its vector is expanded, so only the
+    # frontier's are held, and as tuples, which are smaller than lists.
+    frontier = deque([(sum(seed), p)])
+    for key in walk:  # grows while it is read
+        h, p = frontier.popleft()
+        for i, p_i in enumerate(p):
+            if p_i >= 0 or h - p_i > cap:
+                continue
+            image = key - (p_i << shifts[i])
+            existing = get(image)
+            if existing is None:
+                record_key(image, h - p_i, record)
+                walk.append(image)
+                col = scaled.get((i, p_i))
+                if col is None:
+                    col = scaled[i, p_i] = tuple([p_i * a for a in columns[i]])
+                frontier.append((h - p_i, tuple(map(sub, p, col))))
+            elif existing is not record and (existing.gc, existing.mult) != (
+                record.gc, record.mult
+            ):
+                raise AssertionError(
+                    f"orbit member {codec.decode(image)} already recorded "
+                    f"with conflicting values"
+                )
+    table.counter.tick(PHASE_PINGPONG, cm.d * len(walk))
+    return tuple(walk[1:])
 
 
 def _lookup(table: RootTable, key: int) -> tuple[int, int, int] | None:

@@ -30,7 +30,8 @@ def preset_matrix(name: str) -> list[list[int]]:
     """Resolve a preset name to its integer grid.
 
     Known names: a2, affine-a1, e10, e11 and the rank-2 family hyp-2-K
-    (e.g. hyp-2-3 is [[2,-3],[-3,2]]).
+    (e.g. hyp-2-3 is [[2,-3],[-3,2]]), K >= 1 spelled in canonical ASCII
+    digits: no sign, padding, whitespace or underscore.
     """
     if name == "a2":
         return [[2, -1], [-1, 2]]
@@ -41,13 +42,13 @@ def preset_matrix(name: str) -> list[list[int]]:
     if name == "e11":
         return tree_matrix(2, 3, 8)
     if name.startswith("hyp-2-"):
+        suffix = name[len("hyp-2-") :]
         try:
-            k = int(name[len("hyp-2-") :])
+            k = int(suffix)
         except ValueError:
-            raise KeyError(f"unknown preset {name!r}") from None
-        if k < 1:
-            raise KeyError(f"unknown preset {name!r}")
-        return [[2, -k], [-k, 2]]
+            k = 0
+        if k >= 1 and suffix == str(k):
+            return [[2, -k], [-k, 2]]
     raise KeyError(f"unknown preset {name!r}")
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import rootmult
 from rootmult import build, in_chamber, reflect
-from rootmult.lattice import height, is_positive, leq, vsub
+from rootmult.lattice import height, leq, vsub
 
 A2 = [[2, -1], [-1, 2]]
 AFFINE_A1 = [[2, -2], [-2, 2]]
@@ -75,7 +75,7 @@ def brute_real_roots(cm, cap):
         for i in range(cm.d):
             coef = sum(cm.a[i][j] * beta[j] for j in range(cm.d))
             image = beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
-            if image not in seen and is_positive(image) and height(image) <= cap:
+            if image not in seen and min(image) >= 0 and height(image) <= cap:
                 seen.add(image)
                 frontier.append(image)
     return seen
@@ -90,7 +90,7 @@ def reflect_walk(cm, cap, seed, seen):
     for beta in walk:
         for i in range(cm.d):
             image = reflect(cm, i, beta)
-            if (image not in seen and is_positive(image)
+            if (image not in seen and min(image) >= 0
                     and height(beta) < height(image) <= cap):
                 seen.add(image)
                 walk.append(image)

@@ -28,7 +28,7 @@ from rootmult import (
     query_mult,
     reflect,
 )
-from rootmult.lattice import height, vscale
+from rootmult.lattice import height
 from rootmult.peterson import KIND_REAL
 from helpers import A2, AFFINE_A1, AFFINE_A2, CLI_ENV, HYP3, ROOTMULT, brute_hilbert_basis
 
@@ -161,7 +161,7 @@ def test_criterion_5_e10_cap_60():
     delta = hilbert_basis(cm)[0]
     assert height(delta) == 30
     assert table.get(delta).mult == 8
-    assert table.get(vscale(2, delta)).mult == 8
+    assert table.get(tuple(2 * x for x in delta)).mult == 8
     assert verdict(5, f"e10 cap 60 in {elapsed:.1f}s, {len(roots)} roots", True)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootmult import RootTable, build, pingpong, reflect
-from rootmult.lattice import height, is_positive
+from rootmult.lattice import height
 from rootmult.metrics import PHASE_PINGPONG
 from rootmult.peterson import compute_all
 from helpers import (
@@ -181,7 +181,7 @@ def test_compute_all_tables_are_closed_under_all_reflections(grid, cap):
     for beta, rec in entries.items():
         for i in range(cm.d):
             image = reflect(cm, i, beta)
-            if is_positive(image) and height(image) <= cap:
+            if min(image) >= 0 and height(image) <= cap:
                 other = entries.get(image)
                 assert other is not None, f"s_{i}{beta} = {image} not recorded"
                 assert (other.gc, other.mult) == (rec.gc, rec.mult)
