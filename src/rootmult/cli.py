@@ -83,7 +83,7 @@ def load_config(argv=None) -> argparse.Namespace:
         try:
             grid = preset_matrix(args.preset)
         except KeyError as e:
-            raise ValueError(str(e)) from None
+            raise ValueError(e.args[0]) from None
     else:
         try:
             with open(args.matrix, "r", encoding="utf-8") as fh:

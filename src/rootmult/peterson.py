@@ -27,9 +27,8 @@ Every vector inside the engine is one non-negative int, its KeyCodec key
 for the box [0, cap]^d.  Each coordinate gets a field of w bytes, w the
 smallest power of two with cap < 2^(8w - 1), so the top bit of every field
 (its guard bit) is clear in every key.  Coordinate 0 takes the most
-significant field, so int order is lex order: export sorts ints, and a
-candidate bucket, sorted by key, is bisected on its first coordinate as a
-key range.  With G the mask of the guard bits:
+significant field, so int order is lex order, and export sorts ints.  With
+G the mask of the guard bits:
 
 - u <= beta componentwise iff (key(beta) - key(u)) & G == 0: if it holds,
   no field borrows and each field of the difference is beta_i - u_i, in
@@ -51,9 +50,9 @@ nothing outside the box lands on another vector's key), and get, in,
 entries, roots, export_rows, lines_by_height, c_value and query_mult
 decode or encode there.  The Peterson sum is one pass per chamber point
 over the candidate buckets of heights 1..top/2, each entry
-(key, g, gc, norm) of a vector with c != 0; in the bucket of height top/2
-the key range ends at key(beta) >> 1, which is u <= v in key order, so
-every unordered pair {u, v} is visited once.
+(key, g, gc, norm) of a vector with c != 0; the guard-mask test keeps the
+entries u <= beta, and in the bucket of height top/2 only those with
+u <= v in key order, so every unordered pair {u, v} is visited once.
 
 pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
 member of its orbit, it takes only the reflections that raise the height,
@@ -102,11 +101,10 @@ engine.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, killing, rho_pair
@@ -203,8 +201,8 @@ class RootTable:
     records maps key -> RootRecord.  Filled in by one run (pingpong and
     the driver write to it); read-only once compute_all returns.  The
     Peterson sum reads it through candidate buckets, one per height, built
-    on first use; a height at or below the highest built bucket is frozen
-    and takes no further records.
+    on first use in ascending height; a height whose bucket is built is
+    frozen and takes no further records.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -216,8 +214,7 @@ class RootTable:
         self.codec = KeyCodec(cm.d, cap)
         self.records: dict[int, RootRecord] = {}
         self._by_height: dict[int, list[int]] = {}
-        self._buckets: dict[int, tuple[list[int], list[tuple]]] = {}
-        self._frozen = 0
+        self._buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
 
     def key(self, beta: Vec) -> int | None:
         """beta's key, or None unless beta has d coordinates in 0..cap.
@@ -278,42 +275,41 @@ class RootTable:
         beta = codec.decode(key)
         if key in self.records:
             raise ValueError(f"{beta} already recorded")
-        if h <= self._frozen:
+        if h <= len(self._buckets):
             raise ValueError(
                 f"cannot record {beta}: height {h} is frozen, the Peterson "
-                f"candidates up to height {self._frozen} are already indexed"
+                f"candidates up to height {len(self._buckets)} are already built"
             )
         if rec.g != gcd(*beta):
             raise ValueError(f"cannot record {beta} with g = {rec.g}")
         self.records[key] = rec
         self._by_height.setdefault(h, []).append(key)
 
-    def candidates(self, h: int) -> tuple[list[int], list[tuple]]:
-        """The Peterson candidate bucket of height h; freezes every height <= h.
+    def candidates(self, h: int) -> list[tuple]:
+        """The Peterson candidate bucket of height h >= 1; builds every
+        missing bucket of height <= h, which freezes those heights.
 
         One entry (key, g, gc, norm) per vector u of height h with
         c(u) != 0: every recorded u, and every multiple u = n r (n >= 2) of
         a recorded real root r (norm > 0), whose key is n key(r), g = n,
-        gc = 1 and norm n^2 (r, r).  Entries are sorted by key, which is
-        lex order, and returned beside the list of their keys.
+        gc = 1 and norm n^2 (r, r).  Entries are in the order they were
+        built, not sorted.
         """
-        bucket = self._buckets.get(h)
-        if bucket is None:
-            records, by_height = self.records, self._by_height
+        records, by_height, buckets = self.records, self._by_height, self._buckets
+        while len(buckets) < h:
+            b = len(buckets) + 1
             rows = []
-            for k in by_height.get(h, ()):
+            for k in by_height.get(b, ()):
                 rec = records[k]
                 rows.append((k, rec.g, rec.gc, rec.norm))
-            for n in range(2, h + 1):
-                if h % n == 0:
-                    for k in by_height.get(h // n, ()):
+            for n in range(2, b + 1):
+                if b % n == 0:
+                    for k in by_height.get(b // n, ()):
                         rec = records[k]
                         if rec.norm > 0:
                             rows.append((n * k, n, 1, n * n * rec.norm))
-            rows.sort(key=itemgetter(0))
-            bucket = self._buckets[h] = ([e[0] for e in rows], rows)
-            self._frozen = max(self._frozen, h)
-        return bucket
+            buckets.append(rows)
+        return buckets[h - 1]
 
     def _sorted_keys(self):
         """(height, key) of every record in (height, lex) order."""
@@ -477,35 +473,29 @@ def _peterson_sum(table: RootTable, key: int, top: int, norm: int) -> tuple[int,
     integer fraction (numerator, denominator).
 
     Chamber points are minimal in height within their orbit, so once beta
-    is reached the buckets of height <= top/2 are final.  In the bucket of
-    height h, u <= beta forces h - (top - beta_0) <= u_0 <= beta_0, a key
-    range (coordinate 0 is the top field) that the guard-mask test
-    u <= beta then filters (for rank 2 the range is exact).  At h = top/2
-    the range ends at key >> 1 instead: ku <= key - ku iff ku <= key >> 1,
-    so each unordered pair {u, v} is visited once, from u <= v.  A pair
+    is reached the buckets of height <= top/2 are final.  Every entry u of
+    those buckets is scanned, and the guard-mask test is the only test for
+    u <= beta.  It holds also where key - ku is negative (u_0 > beta_0):
+    Python's ints borrow as infinite two's complement, so the low fields of
+    a negative difference are those of the difference modulo 2^(8wd), and
+    the lowest field with u_i > beta_i still sets its guard bit.  At
+    h = top/2 an entry is also skipped when ku > key - ku, so each
+    unordered pair {u, v} is visited once, from u <= v.  A pair
     adds 2 (u, v) c(u) c(v), half that if u = v (beta = 2u), with c = gc/g
     and 2 (u, v) = (beta, beta) - (u, u) - (v, v) from stored norms: an
     integer numerator under the denominator g_u * g_v, the few
     denominators combined once at the end.  The cost model still charges
     one form per pair, in one bulk tick with the denominator's (beta, beta).
     """
-    codec = table.codec
-    guard, shift = codec.guard, codec.top_shift
+    guard = table.codec.guard
     get = table.records.get
-    b0 = key >> shift
-    rest = top - b0
     by_den: defaultdict[int, int] = defaultdict(int)
     forms = 1  # (beta, beta)
     for h in range(1, top // 2 + 1):
-        keys, entries = table.candidates(h)
-        lo = bisect_left(keys, max(h - rest, 0) << shift)
-        if 2 * h < top:
-            hi = bisect_left(keys, (b0 + 1) << shift, lo)
-        else:
-            hi = bisect_right(keys, key >> 1, lo)
-        for ku, g_u, gc_u, norm_u in entries[lo:hi]:
+        middle = 2 * h == top
+        for ku, g_u, gc_u, norm_u in table.candidates(h):
             kv = key - ku
-            if kv & guard:
+            if kv & guard or middle and ku > kv:
                 continue
             rec = get(kv)
             if rec is not None:

@@ -258,7 +258,7 @@ def test_unknown_preset_exits_2():
                                   "hyp-2-\u0663", "hyp-2-1_0", "hyp-2-0", "hyp-2--3"])
 def test_noncanonical_preset_name_exits_2(name, capsys):
     assert cli.main(["--preset", name, "--height", "3"]) == 2
-    assert f"unknown preset {name!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: unknown preset {name!r}\n"
 
 
 def test_deeply_nested_matrix_file_exits_2(tmp_path):

@@ -125,6 +125,7 @@ def test_each_recorded_vector_is_reflected_once(grid, cap):
 
 HA1 = [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]
 AFFINE_A1_SQUARED = [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
+CHAIN4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -2, 2]]
 
 
 @pytest.mark.parametrize("grid,cap,pingpong,peterson_sum", [
@@ -135,15 +136,20 @@ AFFINE_A1_SQUARED = [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
     (HA1, 20, 657, 1_120),
     (HYP3D, 16, 1_491, 2_404),
     (AFFINE_A1_SQUARED, 16, 192, 112),
-], ids=["hyp-2-3", "e10", "e10-100", "e11", "ha1", "hyp-3d", "affine-a1-squared"])
+    (HYP3D, 30, 8_796, 47_827),
+    (CHAIN4, 30, 9_552, 22_820),
+], ids=["hyp-2-3", "e10", "e10-100", "e11", "ha1", "hyp-3d", "affine-a1-squared",
+        "hyp-3d-30", "chain4"])
 def test_compute_all_form_counts_are_pinned(grid, cap, pingpong, peterson_sum):
     # The form count is the paper's cost model: each phase must add exactly
     # the forms it evaluated, wherever in the phase the ticks happen.  A
     # Peterson sum is evaluated once per orbit of chamber points under the
     # diagram automorphisms: the swap halves hyp-2-3's sums (11,622 forms
     # if every point were summed), S_3 cuts HYP3D's (9,890) and the block
-    # swaps of the decomposable AFFINE_A1_SQUARED cut its (216).  E10, E11
-    # and HA1 have no automorphism, so each of their points is summed.
+    # swaps of the decomposable AFFINE_A1_SQUARED cut its (216).  E10, E11,
+    # HA1 and CHAIN4 have no automorphism, so each of their points is
+    # summed.  HYP3D at 30 and CHAIN4 are where most candidates fail the
+    # guard-mask test u <= beta.
     from rootmult import preset_matrix
 
     cm = build(preset_matrix(grid) if isinstance(grid, str) else grid)
