@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .lattice import Vec
@@ -173,13 +174,7 @@ def killing(cm: CartanMatrix, beta: Vec, gamma: Vec) -> int:
     """
     if len(beta) != cm.d or len(gamma) != cm.d:
         raise ValueError("dimension mismatch")
-    s = cm.s
-    total = 0
-    for i, bi in enumerate(beta):
-        if bi:
-            row = s[i]
-            total += bi * sum(row[j] * gj for j, gj in enumerate(gamma) if gj)
-    return total
+    return sum(map(mul, beta, [sum(map(mul, row, gamma)) for row in cm.s]))
 
 
 def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
@@ -199,11 +194,12 @@ def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
 
 
 def rho_pair(cm: CartanMatrix, beta: Vec) -> int:
-    """2 * (rho, beta) where rho is the Weyl vector: sum_i beta_i * S_ii.
+    """2 * (rho, beta) where rho is the Weyl vector: sum_i beta_i * S_ii,
+    and S_ii = 2 sym_i since a_ii = 2.
 
     Induced by 2 (rho, alpha_i) = (alpha_i, alpha_i).  A linear functional,
     so it never counts as a form evaluation.
     """
     if len(beta) != cm.d:
         raise ValueError("dimension mismatch")
-    return sum(beta[i] * cm.s[i][i] for i in range(cm.d))
+    return 2 * sum(map(mul, beta, cm.sym))

@@ -48,11 +48,15 @@ pingpong's walk all hold keys.  Tuples appear only at the API edge:
 RootTable.key checks a tuple's length and range before encoding it (so
 nothing outside the box lands on another vector's key), and get, in,
 entries, roots, export_rows, lines_by_height, c_value and query_mult
-decode or encode there.  The Peterson sum is one pass per chamber point
-over the candidate buckets of heights 1..top/2, each entry
-(key, g, gc, norm) of a vector with c != 0; the guard-mask test keeps the
-entries u <= beta, and in the bucket of height top/2 only those with
-u <= v in key order, so every unordered pair {u, v} is visited once.
+decode or encode there.  compute_all derives each chamber point's key,
+height, g = gcd(beta) and norm (beta, beta) once, from the tuple that
+chamber_points yields, and hands them to peterson_c, mobius_mult,
+RootTable.record (whose guards still check key, height and g) and
+pingpong.  The Peterson sum is one pass per chamber point over the
+candidate buckets of heights 1..top/2, each entry (key, g, gc, norm) of a
+vector with c != 0; the guard-mask test keeps the entries u <= beta, and
+in the bucket of height top/2 only those with u <= v in key order, so
+every unordered pair {u, v} is visited once.
 
 pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
 member of its orbit, it takes only the reflections that raise the height,
@@ -92,10 +96,11 @@ multiplicity and the norm (beta, beta), which also decides the kind (real
 iff positive).  The Peterson sum takes each pair's form from stored norms,
 2 (u, v) = (beta, beta) - (u, u) - (v, v), with (n r, n r) = n^2 (r, r)
 for a scaled real root, and still charges the cost model one form per
-pair.  The Moebius inversion reads c(beta/n) at key(beta) / n.  Fraction
-appears only at the edges: one per evaluated chamber point, and in c_value
-and RootRecord.c for readers.  No floating point is used anywhere in the
-engine.
+pair.  The sum returns an integer fraction, and g*c is one divmod of
+g times its numerator by its denominator, the remainder checked.  The
+Moebius inversion reads c(beta/n) at key(beta) / n.  Fraction appears
+only in c_value and RootRecord.c, for readers, and in error messages.
+No floating point is used anywhere in the engine.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ from typing import NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, killing, rho_pair
 from .chamber import chamber_points
-from .lattice import Vec, coord_gcd, height, mobius, render, unit
+from .lattice import Vec, height, mobius, render, unit
 from .metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
 
 KIND_REAL = "real"
@@ -212,6 +217,7 @@ class RootTable:
         self.cap = cap
         self.counter = counter if counter is not None else KillingCounter()
         self.codec = KeyCodec(cm.d, cap)
+        self.columns = tuple(zip(*cm.a))  # pingpong's update of p = A beta
         self.records: dict[int, RootRecord] = {}
         self._by_height: dict[int, list[int]] = {}
         self._buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
@@ -242,23 +248,9 @@ class RootTable:
         decode = self.codec.decode
         return {decode(k): rec for k, rec in self.records.items()}
 
-    def make_record(self, beta: Vec, gc: int, mult: int) -> RootRecord:
-        """A new orbit's record for its first member beta, given gc = g * c.
-
-        The norm (beta, beta) is computed outside the counter: it is stored
-        for readers and export, not spent by any phase.
-        """
-        return RootRecord(coord_gcd(beta), gc, mult, killing(self.cm, beta, beta))
-
-    def record(self, beta: Vec, rec: RootRecord) -> None:
-        """Store beta with rec, the record of its orbit (shared, not copied)."""
-        key = self.key(beta)
-        if key is None:
-            raise ValueError(f"cannot record {beta}: not positive within cap")
-        self.record_key(key, sum(beta), rec)
-
-    def record_key(self, key: int, h: int, rec: RootRecord) -> None:
-        """record() for a key and its height, as pingpong carries them.
+    def record(self, key: int, h: int, rec: RootRecord) -> None:
+        """Store the vector of key, of height h, with rec, the record of its
+        orbit (shared, not copied).
 
         The guards hold on the key: clear guard bits and 0 < key < limit
         make every field a non-negative coordinate; one multiply checks the
@@ -285,15 +277,21 @@ class RootTable:
         self.records[key] = rec
         self._by_height.setdefault(h, []).append(key)
 
-    def candidates(self, h: int) -> list[tuple]:
-        """The Peterson candidate bucket of height h >= 1; builds every
-        missing bucket of height <= h, which freezes those heights.
+    # pingpong records its images through this second name of the same
+    # function, so a wrapper on record (bench/job.py times one span per
+    # call) sees only compute_all's calls: one per simple root and per
+    # chamber point that is a root.
+    record_key = record
 
-        One entry (key, g, gc, norm) per vector u of height h with
-        c(u) != 0: every recorded u, and every multiple u = n r (n >= 2) of
-        a recorded real root r (norm > 0), whose key is n key(r), g = n,
-        gc = 1 and norm n^2 (r, r).  Entries are in the order they were
-        built, not sorted.
+    def candidates(self, h: int) -> list[list[tuple]]:
+        """The Peterson candidate buckets of heights 1..h, in that order;
+        builds every missing one, which freezes those heights.
+
+        The bucket of height b holds one entry (key, g, gc, norm) per
+        vector u of height b with c(u) != 0: every recorded u, and every
+        multiple u = n r (n >= 2) of a recorded real root r (norm > 0),
+        whose key is n key(r), g = n, gc = 1 and norm n^2 (r, r).  Entries
+        are in the order they were built, not sorted.
         """
         records, by_height, buckets = self.records, self._by_height, self._buckets
         while len(buckets) < h:
@@ -309,7 +307,7 @@ class RootTable:
                         if rec.norm > 0:
                             rows.append((n * k, n, 1, n * n * rec.norm))
             buckets.append(rows)
-        return buckets[h - 1]
+        return buckets[:h]
 
     def _sorted_keys(self):
         """(height, key) of every record in (height, lex) order."""
@@ -368,10 +366,11 @@ class RootTable:
             yield "".join([template[records[k]] % decode(k) for k in keys])
 
 
-def pingpong(table: RootTable, seed: Vec) -> tuple[int, ...]:
+def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
     """Close the seed's Weyl orbit under the table's height cap, by ascent.
 
-    The seed must be recorded and must be the lowest member of its orbit,
+    The seed comes with its key and height, as compute_all derived them.
+    It must be recorded and must be the lowest member of its orbit,
     as compute_all's seeds (simple roots and chamber points) are: a seed
     with some p_i > 0 and seed_i >= p_i, whose image s_i(seed) is positive
     and lower, raises ValueError, since the walk would miss what lies above
@@ -382,11 +381,13 @@ def pingpong(table: RootTable, seed: Vec) -> tuple[int, ...]:
     hold is recorded with the seed's record object and walked in turn; one
     it holds must carry that record or equal values (E10's simple roots
     are recorded apart but share one orbit) and is not walked again.
-    Returns the keys of the new records in record order (() on a second
-    run); table.codec.decode turns one into its vector.  Ticks
-    d * len(walk) pingpong forms on table.counter once, at its end.
+    Returns the keys of the new records in record order ([] on a second
+    run): the walk's own list less its seed, not a copy, which at E10's
+    first walk would add its size to the peak RSS.  table.codec.decode
+    turns a key into its vector.  Ticks d * len(walk) pingpong forms,
+    the seed's included, on table.counter once, at its end.
     """
-    record = table.get(seed)
+    record = table.records.get(key)
     if record is None:
         raise KeyError(f"pingpong seed {seed} is not recorded in the table")
     cm, cap, codec = table.cm, table.cap, table.codec
@@ -399,14 +400,14 @@ def pingpong(table: RootTable, seed: Vec) -> tuple[int, ...]:
             )
     get, record_key = table.records.get, table.record_key
     shifts = codec.shifts
-    columns = tuple(zip(*cm.a))
+    columns = table.columns
     scaled = {}  # (i, p_i) -> p_i * (column i of A), built on first use
 
-    walk = [codec.encode(seed)]
+    walk = [key]
     # Height and pairing vector of the walked vectors not yet expanded, in
     # walk order: each is dropped once its vector is expanded, so only the
     # frontier's are held, and as tuples, which are smaller than lists.
-    frontier = deque([(sum(seed), p)])
+    frontier = deque([(h, p)])
     for key in walk:  # grows while it is read
         h, p = frontier.popleft()
         for i, p_i in enumerate(p):
@@ -429,7 +430,8 @@ def pingpong(table: RootTable, seed: Vec) -> tuple[int, ...]:
                     f"with conflicting values"
                 )
     table.counter.tick(PHASE_PINGPONG, cm.d * len(walk))
-    return tuple(walk[1:])
+    del walk[0]
+    return walk
 
 
 def _lookup(table: RootTable, key: int) -> tuple[int, int, int] | None:
@@ -468,9 +470,15 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
     return Fraction(found[1], found[0]) if found else Fraction(0)
 
 
-def _peterson_sum(table: RootTable, key: int, top: int, norm: int) -> tuple[int, int]:
-    """The Peterson sum at beta (key, height top, norm (beta, beta)) as an
-    integer fraction (numerator, denominator).
+def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tuple[int, int]:
+    """The Peterson recurrence at the chamber point beta, given its key,
+    height top and norm (beta, beta), as an integer fraction
+    (numerator, denominator).
+
+    Every chamber point of smaller height must already have been processed
+    and every known root pingponged; the sum then ranges over exactly the
+    decompositions with both c-values nonzero.  A zero denominator raises
+    ZeroDenominator before any tick.
 
     Chamber points are minimal in height within their orbit, so once beta
     is reached the buckets of height <= top/2 are final.  Every entry u of
@@ -487,13 +495,16 @@ def _peterson_sum(table: RootTable, key: int, top: int, norm: int) -> tuple[int,
     denominators combined once at the end.  The cost model still charges
     one form per pair, in one bulk tick with the denominator's (beta, beta).
     """
+    denom = norm - rho_pair(table.cm, beta)
+    if denom == 0:
+        raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
     guard = table.codec.guard
     get = table.records.get
     by_den: defaultdict[int, int] = defaultdict(int)
     forms = 1  # (beta, beta)
-    for h in range(1, top // 2 + 1):
+    for h, bucket in enumerate(table.candidates(top // 2), 1):
         middle = 2 * h == top
-        for ku, g_u, gc_u, norm_u in table.candidates(h):
+        for ku, g_u, gc_u, norm_u in bucket:
             kv = key - ku
             if kv & guard or middle and ku > kv:
                 continue
@@ -510,57 +521,33 @@ def _peterson_sum(table: RootTable, key: int, top: int, norm: int) -> tuple[int,
             by_den[g_u * g_v] += term if ku != kv else term >> 1
     table.counter.tick(PHASE_SUM, forms)
     common = lcm(*by_den)
-    return sum(num * (common // den) for den, num in by_den.items()), common
+    return sum(num * (common // den) for den, num in by_den.items()), common * denom
 
 
-def _positive_key(table: RootTable, beta: Vec) -> int:
-    key = table.key(beta)
-    if not key:
-        raise ValueError(f"{render(beta)} is not a positive vector of the table's box")
-    return key
-
-
-def peterson_c(table: RootTable, beta: Vec) -> Fraction:
-    """Evaluate the Peterson recurrence at a chamber point.
-
-    Every chamber point of smaller height must already have been processed
-    and every known root pingponged; the sum then ranges over exactly the
-    decompositions with both c-values nonzero.  Every evaluated form ticks
-    the counter, in one bulk tick from _peterson_sum that includes the
-    denominator's (beta, beta); a zero denominator raises before any tick.
-    """
-    norm = killing(table.cm, beta, beta)
-    denom = norm - rho_pair(table.cm, beta)
-    if denom == 0:
-        raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
-    key, top = _positive_key(table, beta), height(beta)
-    num, den = _peterson_sum(table, key, top, norm)
-    return Fraction(num, den * denom)
-
-
-def mobius_mult(table: RootTable, beta: Vec, gc: int) -> int:
-    """Multiplicity by Moebius inversion along the divisors of g = gcd(beta):
+def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
+    """Multiplicity by Moebius inversion along the divisors of g = gcd(beta),
+    beta the vector of key:
 
         m(beta) = sum_{n | g} mu(n)/n * c(beta/n),
 
     and c(beta/n) = gc(beta/n) * n/g, so g * m(beta) = sum_{n | g} mu(n) gc(beta/n)
     in integers, with gc = g * c(beta) given and the smaller terms read from
-    the table, at key(beta) / n.  Raises NonIntegerMultiplicity if the
-    result is not a non-negative integer, which would mean an upstream bug.
+    the table, at key / n.  Raises NonIntegerMultiplicity if the result is
+    not a non-negative integer, which would mean an upstream bug.
     """
-    key = _positive_key(table, beta)
-    g = coord_gcd(beta)
     total = gc
-    for n in range(2, g + 1):
-        if g % n == 0:
-            mu = mobius(n)
-            if mu:
-                found = _lookup(table, key // n)
-                if found:
-                    total += mu * found[1]
+    if g > 1:
+        for n in range(2, g + 1):
+            if g % n == 0:
+                mu = mobius(n)
+                if mu:
+                    found = _lookup(table, key // n)
+                    if found:
+                        total += mu * found[1]
     if total < 0 or total % g:
         raise NonIntegerMultiplicity(
-            f"m({render(beta)}) = {Fraction(total, g)} is not a non-negative integer"
+            f"m({render(table.codec.decode(key))}) = {Fraction(total, g)} "
+            f"is not a non-negative integer"
         )
     return total // g
 
@@ -572,49 +559,57 @@ def compute_all(
 ) -> RootTable:
     """Find every positive root of height <= cap with its multiplicity.
 
-    Initializes m = c = 1 on the simple roots and pingpongs them, then walks
+    Records m = c = 1 on the simple roots and pingpongs them, then walks
     the chamber points in ascending (height, lex) order: Peterson c-value,
-    Moebius multiplicity, and - for actual roots - an orbit closure that
-    propagates the values.  A chamber point that is not a root must have
-    c = 0: a nonzero c would make some beta/n (n >= 2) a root, and that
-    vector lies in the chamber too, so it is imaginary and its multiple
-    beta is a root.  A violation, or a c-value whose g * c is not an
-    integer, raises NonIntegerMultiplicity.
+    Moebius multiplicity, and - for actual roots - a record and an orbit
+    closure that propagates the values.  Each point's key, height, g =
+    gcd(beta) and norm (beta, beta) are derived once, here, and handed to
+    each of those steps; g * c comes from the sum's integer fraction by one
+    divmod.  A chamber point that is not a root must have c = 0: a nonzero
+    c would make some beta/n (n >= 2) a root, and that vector lies in the
+    chamber too, so it is imaginary and its multiple beta is a root.  A
+    violation, or a c-value whose g * c is not an integer, raises
+    NonIntegerMultiplicity.
 
     The Peterson sum runs only at the first point of each orbit under the
     diagram automorphisms: its images are chamber points of the same
     height that come later in lex order, and they wait in pending with its
-    g * c until the walk reaches them.  When the group is trivial (E10,
-    E11) there are no generators and every point is summed.
+    g * c until the walk reaches them.  The generators are found at the
+    first summed point, so a matrix without chamber points never searches
+    for them; when the group is trivial (E10, E11) there are none and every
+    point is summed.
     """
     table = RootTable(cm, cap, counter)
-    for i in range(cm.d):
-        alpha = unit(cm.d, i)
-        table.record(alpha, table.make_record(alpha, 1, 1))
-    for i in range(cm.d):
-        pingpong(table, unit(cm.d, i))
+    codec = table.codec
+    for i, shift in enumerate(codec.shifts):
+        table.record(1 << shift, 1, RootRecord(1, 1, 1, cm.s[i][i]))
+    for i, shift in enumerate(codec.shifts):
+        pingpong(table, unit(cm.d, i), 1 << shift, 1)
 
-    gens = automorphisms(cm)
+    gens = None
     pending: dict[Vec, int] = {}  # gc of chamber points whose orbit was summed
     for beta in chamber_points(cm, cap):
+        key, top, g = codec.encode(beta), sum(beta), gcd(*beta)
+        norm = killing(cm, beta, beta)
         gc = pending.pop(beta, None)
         if gc is None:
-            gc = peterson_c(table, beta) * coord_gcd(beta)
-            if gc.denominator != 1:
+            num, den = peterson_c(table, beta, key, top, norm)
+            gc, rem = divmod(num * g, den)
+            if rem:
                 raise NonIntegerMultiplicity(
-                    f"gcd * c({render(beta)}) = {gc} is not an integer"
+                    f"gcd * c({render(beta)}) = {Fraction(num * g, den)} is not an integer"
                 )
-            gc = gc.numerator
+            if gens is None:
+                gens = automorphisms(cm)
             for image in _images(beta, gens):
                 pending[image] = gc
-        mult = mobius_mult(table, beta, gc)
+        mult = mobius_mult(table, key, g, gc)
         if mult > 0:
-            table.record(beta, table.make_record(beta, gc, mult))
-            pingpong(table, beta)
+            table.record(key, top, RootRecord(g, gc, mult, norm))
+            pingpong(table, beta, key, top)
         elif gc:
             raise NonIntegerMultiplicity(
-                f"c({render(beta)}) = {Fraction(gc, coord_gcd(beta))} "
-                f"but m = 0 at a chamber point"
+                f"c({render(beta)}) = {Fraction(gc, g)} but m = 0 at a chamber point"
             )
     return table
 

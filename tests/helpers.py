@@ -7,12 +7,12 @@ paths so they can arbitrate: plain box scans and breadth-first closures.
 import os
 import sys
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
 import rootmult
-from rootmult import build, in_chamber, reflect
+from rootmult import RootRecord, build, in_chamber, killing, pingpong, reflect
 from rootmult.lattice import height, leq, vsub
 
 A2 = [[2, -1], [-1, 2]]
@@ -79,6 +79,22 @@ def brute_real_roots(cm, cap):
                 seen.add(image)
                 frontier.append(image)
     return seen
+
+
+def record(table, beta, gc=1, mult=1):
+    """Record the tuple beta in table with a new orbit record, g and the
+    norm taken from beta, the way compute_all records a chamber point;
+    returns beta's key."""
+    key = table.codec.encode(beta)
+    rec = RootRecord(gcd(*beta), gc, mult, killing(table.cm, beta, beta))
+    table.record(key, sum(beta), rec)
+    return key
+
+
+def walk_from(table, seed):
+    """pingpong from the tuple seed, given its key and height as
+    compute_all hands them down."""
+    return pingpong(table, seed, table.key(seed), sum(seed))
 
 
 def reflect_walk(cm, cap, seed, seen):

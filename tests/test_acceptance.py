@@ -30,7 +30,10 @@ from rootmult import (
 )
 from rootmult.lattice import height
 from rootmult.peterson import KIND_REAL
-from helpers import A2, AFFINE_A1, AFFINE_A2, CLI_ENV, HYP3, ROOTMULT, brute_hilbert_basis
+from helpers import (
+    A2, AFFINE_A1, AFFINE_A2, CLI_ENV, HYP3, ROOTMULT, brute_hilbert_basis, record,
+    walk_from,
+)
 
 
 def verdict(n, label, ok):
@@ -209,15 +212,15 @@ def test_criterion_7_property_suite():
         ]
 
     # pingpong idempotence
-    from rootmult import RootTable, pingpong
+    from rootmult import RootTable
 
     table = RootTable(cm, 12)
-    table.record((1, 0), table.make_record((1, 0), 1, 1))
-    table.record((0, 1), table.make_record((0, 1), 1, 1))
-    first = pingpong(table, (1, 0))
+    record(table, (1, 0))
+    record(table, (0, 1))
+    first = walk_from(table, (1, 0))
     size = len(table)
     assert first and len(table) == 2 + len(first)
-    assert pingpong(table, (1, 0)) == ()
+    assert walk_from(table, (1, 0)) == []
     assert len(table) == size
 
     # byte-identical repeated CLI runs

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootmult import (
+    automorphisms,
     build,
     chamber,
     cli,
@@ -18,6 +19,7 @@ from rootmult import (
     peterson,
     preset_matrix,
 )
+from rootmult.metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
 from rootmult.peterson import MAX_CAP
 from helpers import CLI_ENV, HYP3, ROOTMULT, brute_real_roots, symmetrizable_gcms
 
@@ -157,6 +159,33 @@ def test_json_bytes_are_pinned(preset, height, digest):
     )
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# Three matrices of the class the chamber-mix workload runs (rank 3-4,
+# cap 12, read from a matrix file): SWAP4 has diagram automorphisms, so
+# its chamber points share sums along orbits; CHAIN4G has chamber points
+# of gcd 2 to 6, e.g. (4, 4, 0, 0), where Moebius inversion finds terms;
+# NONSYM4 is not symmetric (a_01 = -2, a_10 = -1).
+SWAP4 = [[2, -2, -1, 0], [-2, 2, 0, -1], [-1, 0, 2, -2], [0, -1, -2, 2]]
+CHAIN4G = [[2, -2, 0, 0], [-2, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+NONSYM4 = [[2, -2, 0, -1], [-1, 2, -1, 0], [0, -2, 2, -1], [-1, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("grid,digest,pingpong,peterson_sum", [
+    (SWAP4, "2f86dba16ac0f85e6c4367dc16bceb47fcfdc63228f36f204c5c16e357a6adbb", 2_148, 1_072),
+    (CHAIN4G, "e120d5a6fbe50cd23f4d05e412c4f7161938bc704d2b962c60e1631a6687c3c0", 516, 246),
+    (NONSYM4, "fda5c2f01ee45700978c199296c5e5423946104922f18ea06812f112067dfc80", 824, 391),
+], ids=["swap4", "chain4g", "nonsym4"])
+def test_chamber_mix_class_csv_and_forms_are_pinned(tmp_path, grid, digest, pingpong,
+                                                     peterson_sum):
+    matrix, out = tmp_path / "matrix.json", tmp_path / "table.csv"
+    matrix.write_text(json.dumps(grid) + "\n", encoding="utf-8")
+    assert cli.main(["--matrix", str(matrix), "--height", "12", "--format", "csv",
+                     "--out", str(out), "--quiet"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    counter = KillingCounter()
+    compute_all(build(grid), 12, counter)
+    assert counter.by_phase() == {PHASE_PINGPONG: pingpong, PHASE_SUM: peterson_sum}
 
 
 def reference_csv(table):
@@ -402,9 +431,11 @@ BENCH_WRAPPED = (
 )
 
 
-def test_names_the_bench_wraps_are_called_through_their_owner(monkeypatch, capsys):
+def count_calls(monkeypatch, names):
+    """Wrap each (owner, attribute) of names in a counter of its calls;
+    returns the counts, which grow as the wrappers are called."""
     owners = {"cli": cli, "peterson": peterson, "RootTable": peterson.RootTable}
-    calls = dict.fromkeys(BENCH_WRAPPED, 0)
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -412,9 +443,32 @@ def test_names_the_bench_wraps_are_called_through_their_owner(monkeypatch, capsy
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in BENCH_WRAPPED:
+    for name in names:
         owner, attr = owners[name[0]], name[1]
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    return calls
+
+
+def test_names_the_bench_wraps_are_called_through_their_owner(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, BENCH_WRAPPED)
     assert cli.main(["--preset", "hyp-2-3", "--height", "12", "--quiet"]) == 0
     assert capsys.readouterr().out.startswith("coords,")
     assert all(calls.values()), calls
+
+
+def test_the_engine_names_the_bench_wraps_run_once_per_point(monkeypatch):
+    # peterson_c once per summed chamber point (one per orbit of the swap),
+    # mobius_mult once per chamber point, record and pingpong once per
+    # simple root and per chamber point that is a root: every other vector
+    # is recorded by pingpong's walk, through record_key.
+    cm = build(SWAP4)
+    points = chamber.chamber_points(cm, 12)
+    group = ((0, 1, 2, 3), *automorphisms(cm))  # closed: the Klein four-group
+    summed = len({min(tuple(map(p.__getitem__, sigma)) for sigma in group) for p in points})
+    calls = count_calls(monkeypatch, BENCH_WRAPPED[2:])
+    table = compute_all(cm, 12)
+    roots = sum(table.get(p) is not None for p in points)
+    assert calls == {("peterson", "pingpong"): 4 + roots,
+                     ("peterson", "peterson_c"): summed,
+                     ("peterson", "mobius_mult"): len(points),
+                     ("RootTable", "record"): 4 + roots}

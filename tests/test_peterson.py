@@ -27,12 +27,13 @@ from rootmult.lattice import height, vsub
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
+    RootRecord,
     RootTable,
     ZeroDenominator,
 )
 from rootmult.metrics import PHASE_SUM
 from helpers import (
-    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, symmetrizable_gcms,
+    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, record, symmetrizable_gcms,
 )
 
 
@@ -50,11 +51,19 @@ def test_peterson_c_hyperbolic_first_chamber_point():
 def test_peterson_c_rejects_zero_denominator():
     cm = build(AFFINE_A1)
     table = RootTable(cm, 5)
-    table.record((1, 0), table.make_record((1, 0), 1, 1))
-    table.record((0, 1), table.make_record((0, 1), 1, 1))
+    record(table, (1, 0))
+    record(table, (0, 1))
     # (3,1) satisfies (beta, beta) = 2 (rho, beta) = 8
     with pytest.raises(ZeroDenominator):
-        peterson_c(table, (3, 1))
+        peterson_c(table, (3, 1), table.key((3, 1)), 4, killing(cm, (3, 1), (3, 1)))
+
+
+def test_zero_denominator_inside_compute_all_raises(monkeypatch):
+    # No chamber point has (beta, beta) = 2 (rho, beta); a rho_pair that
+    # returns the norm makes the first one reach a zero denominator.
+    monkeypatch.setattr("rootmult.peterson.rho_pair", lambda cm, beta: killing(cm, beta, beta))
+    with pytest.raises(ZeroDenominator):
+        compute_all(build(HYP3), 8)
 
 
 def test_mobius_mult_examples():
@@ -64,15 +73,15 @@ def test_mobius_mult_examples():
     assert table.get((1, 1)).mult == 1       # gcd 1: m = c
     assert table.get((3, 3)).mult == 1
     gc = table.get((3, 3)).gc
-    assert table.get((3, 3)).c == mobius_mult(table, (3, 3), gc) + Fraction(1, 3)
+    assert table.get((3, 3)).c == mobius_mult(table, table.key((3, 3)), 3, gc) + Fraction(1, 3)
 
 
 def test_non_integer_gc_at_a_chamber_point_raises(monkeypatch):
     # g = 2 at affine-a1's (2, 2): c = 1/3 would make g * c = 2/3
     original = peterson.peterson_c
 
-    def third_at_2_2(table, beta):
-        return Fraction(1, 3) if beta == (2, 2) else original(table, beta)
+    def third_at_2_2(table, beta, key, top, norm):
+        return (1, 3) if beta == (2, 2) else original(table, beta, key, top, norm)
 
     monkeypatch.setattr("rootmult.peterson.peterson_c", third_at_2_2)
     with pytest.raises(NonIntegerMultiplicity, match="not an integer"):
@@ -82,11 +91,12 @@ def test_non_integer_gc_at_a_chamber_point_raises(monkeypatch):
 def test_mobius_mult_raises_on_negative_or_indivisible_sum():
     table = compute_all(build(AFFINE_A1), 4)
     # g = 2 at (2, 2) and gc(1, 1) = 1: 2 m = gc(2, 2) - 1
+    key = table.key((2, 2))
     with pytest.raises(NonIntegerMultiplicity):
-        mobius_mult(table, (2, 2), 0)   # 2 m = -1
+        mobius_mult(table, key, 2, 0)   # 2 m = -1
     with pytest.raises(NonIntegerMultiplicity):
-        mobius_mult(table, (2, 2), 2)   # 2 m = 1
-    assert mobius_mult(table, (2, 2), 3) == 1
+        mobius_mult(table, key, 2, 2)   # 2 m = 1
+    assert mobius_mult(table, key, 2, 3) == 1
 
 
 def test_records_hold_integer_gc_and_orbit_invariants():
@@ -110,18 +120,18 @@ def test_record_below_a_frozen_height_raises():
     # the chamber point (5, 5) indexed the candidates up to height 5;
     # (2, 0) is not a root, so only the freeze can refuse it
     with pytest.raises(ValueError, match="frozen"):
-        table.record((2, 0), table.make_record((2, 0), 1, 1))
-    table.record((6, 0), table.make_record((6, 0), 1, 1))
+        record(table, (2, 0))
+    record(table, (6, 0))
     # building the bucket of height 3 on a fresh table builds those below
     # it too, and freezes every height <= 3
     table = RootTable(cm, 10)
     for alpha in ((1, 0), (0, 1)):
-        table.record(alpha, table.make_record(alpha, 1, 1))
+        record(table, alpha)
     table.candidates(3)
     for beta in ((1, 1), (2, 1)):
         with pytest.raises(ValueError, match="frozen"):
-            table.record(beta, table.make_record(beta, 1, 1))
-    table.record((2, 2), table.make_record((2, 2), 2, 1))
+            record(table, beta)
+    record(table, (2, 2), 2, 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -144,10 +154,12 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
                 total += killing(cm, u, v) * cu * cv
                 visited += 2 * height(u) < top or (2 * height(u) == top and u <= v)
         before = table.counter.count(PHASE_SUM)
-        assert peterson_c(table, beta) == total / (killing(cm, beta, beta) - rho_pair(cm, beta))
+        norm = killing(cm, beta, beta)
+        value = Fraction(*peterson_c(table, beta, table.key(beta), top, norm))
+        assert value == total / (norm - rho_pair(cm, beta))
         assert table.counter.count(PHASE_SUM) - before == 1 + visited
         for h in range(1, top // 2 + 1):
-            entries = table.candidates(h)
+            entries = table.candidates(h)[h - 1]
             expected = {u: c_value(table, u) for u in box_points(cm.d, h) if height(u) == h}
             assert sorted(decode(e[0]) for e in entries) == sorted(u for u, c in expected.items() if c)
             for key, g, gc, norm in entries:
@@ -175,9 +187,26 @@ def test_nonzero_c_without_multiplicity_is_an_integrity_error(monkeypatch):
     # A non-root chamber point with c != 0 cannot occur; if Moebius
     # inversion ever reports m = 0 there, the run stops instead of
     # recording the point.
-    monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda *args: 0)
+    monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda table, key, g, gc: 0)
     with pytest.raises(NonIntegerMultiplicity):
         compute_all(build(AFFINE_A1), 4)
+
+
+@pytest.mark.parametrize("grid,cap,calls", [
+    ([[2 if i == j else 0 for j in range(6)] for i in range(6)], 5, 0),
+    (A2, 10, 0),
+    (HYP3, 20, 1),
+], ids=["2I-rank6", "a2", "hyp-2-3"])
+def test_automorphisms_are_searched_only_once_a_point_is_summed(monkeypatch, grid, cap,
+                                                                 calls):
+    # The generators serve only to share sums between chamber points, so a
+    # matrix without chamber points (2 I of rank 6, A2) never searches.
+    found = []
+    original = peterson.automorphisms
+    monkeypatch.setattr("rootmult.peterson.automorphisms",
+                        lambda cm: found.append(cm) or original(cm))
+    compute_all(build(grid), cap)
+    assert len(found) == calls
 
 
 def test_compute_all_finite_type():
@@ -316,15 +345,15 @@ def test_c_minus_mult_is_divisor_tail():
 def test_table_record_guards():
     cm = build(A2)
     table = RootTable(cm, 3)
-    table.record((1, 0), table.make_record((1, 0), 1, 1))
+    record(table, (1, 0))
     with pytest.raises(ValueError):
-        table.record((1, 0), table.make_record((1, 0), 1, 1))
+        record(table, (1, 0))
     with pytest.raises(ValueError, match="g = 1"):   # gcd(2, 0) = 2
-        table.record((2, 0), table.make_record((1, 0), 1, 1))
+        table.record(table.key((2, 0)), 2, RootRecord(1, 1, 1, 8))
     with pytest.raises(ValueError):
-        table.record((0, 0), table.make_record((0, 0), 1, 1))
+        record(table, (0, 0))
     with pytest.raises(ValueError):
-        table.record((2, 2), table.make_record((2, 2), 1, 1))
+        record(table, (2, 2))
     with pytest.raises(ValueError):
         RootTable(cm, 0)
 
@@ -334,7 +363,7 @@ def test_record_key_guards_hold_on_the_key():
     # one byte per coordinate
     table = RootTable(build(HYP3D), 5)
     codec = table.codec
-    rec = table.make_record((1, 0, 0), 1, 1)
+    rec = RootRecord(1, 1, 1, 2)
     key = codec.encode((1, 0, 0))
     for bad, h in ((key, 2),             # carried height is not the key's
                    (key - 1, 0),         # (1, 0, -1): borrows, guard bits set

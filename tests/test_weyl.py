@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootmult import RootTable, build, pingpong, reflect
+from rootmult import RootTable, build, reflect
 from rootmult.lattice import height
 from rootmult.metrics import PHASE_PINGPONG
 from rootmult.peterson import compute_all
 from helpers import (
-    A2, AFFINE_A1, HYP3, AFFINE_A2, HYP3D, brute_real_roots, reflect_walk,
-    symmetrizable_gcms,
+    A2, AFFINE_A1, HYP3, AFFINE_A2, HYP3D, brute_real_roots, record, reflect_walk,
+    symmetrizable_gcms, walk_from,
 )
 
 
@@ -15,13 +15,13 @@ def fresh_table(cm, cap):
     table = RootTable(cm, cap)
     for i in range(cm.d):
         alpha = tuple(1 if j == i else 0 for j in range(cm.d))
-        table.record(alpha, table.make_record(alpha, 1, 1))
+        record(table, alpha)
     return table
 
 
 def walk(table, seed):
     """pingpong's new members, decoded from their keys."""
-    return tuple(map(table.codec.decode, pingpong(table, seed)))
+    return tuple(map(table.codec.decode, walk_from(table, seed)))
 
 
 def test_reflect_simple_root_negates():
@@ -70,7 +70,7 @@ def test_pingpong_truncates_at_cap():
 def test_pingpong_propagates_seed_values():
     cm = build(HYP3)
     table = fresh_table(cm, 3)
-    table.record((1, 1), table.make_record((1, 1), 1, 1))
+    record(table, (1, 1))
     assert set(walk(table, (1, 1))) == {(2, 1), (1, 2)}
     for member in ((1, 1), (2, 1), (1, 2)):
         rec = table.get(member)
@@ -91,16 +91,16 @@ def test_pingpong_conflict_is_an_assertion_error():
     table = fresh_table(cm, 4)
     # (1, 2) is s_1(1, 0); recording it apart with another multiplicity
     # must stop the walk that reaches it
-    table.record((1, 2), table.make_record((1, 2), 1, 2))
+    record(table, (1, 2), 1, 2)
     with pytest.raises(AssertionError, match="conflicting values"):
-        pingpong(table, (1, 0))
+        walk_from(table, (1, 0))
 
 
 def test_pingpong_requires_recorded_seed():
     cm = build(HYP3)
     table = fresh_table(cm, 5)
     with pytest.raises(KeyError):
-        pingpong(table, (1, 1))
+        walk_from(table, (1, 1))
 
 
 def test_pingpong_refuses_a_seed_that_is_not_lowest_in_its_orbit():
@@ -109,19 +109,19 @@ def test_pingpong_refuses_a_seed_that_is_not_lowest_in_its_orbit():
     # of its orbit.  The refusal records and charges nothing.
     cm = build(HYP3)
     table = fresh_table(cm, 12)
-    table.record((1, 3), table.make_record((1, 3), 1, 1))
+    record(table, (1, 3))
     with pytest.raises(ValueError, match="not the lowest member"):
-        pingpong(table, (1, 3))
+        walk_from(table, (1, 3))
     assert len(table) == 3 and table.counter.count(PHASE_PINGPONG) == 0
 
 
 def test_pingpong_idempotent():
     cm = build(AFFINE_A1)
     table = fresh_table(cm, 9)
-    first = pingpong(table, (1, 0))
+    first = walk_from(table, (1, 0))
     size = len(table)
     assert first and len(table) == 2 + len(first)
-    assert pingpong(table, (1, 0)) == ()
+    assert walk_from(table, (1, 0)) == []
     assert len(table) == size
 
 
