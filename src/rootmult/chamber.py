@@ -172,15 +172,18 @@ def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[V
         row j with rows_j + sum_l s_jl u_l > 0 can no longer close.
 
     Every row is checked exactly when it closes, so each leaf is a chamber
-    point.
+    point.  A chamber point has (beta, beta) = sum_j beta_j (beta, alpha_j) <= 0,
+    so a positive definite S (block 0 of (c)) has none: no other block is built.
     """
     d, s = cm.d, cm.s
+    if _finite_type_inverse(s) is not None:
+        return []
     last = [max(l for l in range(d) if s[j][l]) for j in range(d)]
     closing = [[j for j in range(k + 1) if last[j] == k] for k in range(d)]
     # most_negative[j][k]: min(0, s_jl for l >= k), the fastest a row can fall
     most_negative = [[min((0, *row[k:])) for k in range(d + 1)] for row in s]
     # the (c) bound at depth k, scaled to integers: free block inverses
-    blocks = [_finite_type_inverse([row[k:] for row in s[k:]]) for k in range(d)]
+    blocks = [None] + [_finite_type_inverse([row[k:] for row in s[k:]]) for k in range(1, d)]
     out: list[Vec] = []
     x = [0] * d
 

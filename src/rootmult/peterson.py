@@ -43,12 +43,13 @@ G the mask of the guard bits:
   coordinates sum below 2^(8w) (no field of the product carries), which
   holds for every vector of the box with height <= cap.
 
-The table's records, its height index, the candidate buckets and
-pingpong's walk all hold keys.  Tuples appear only at the API edge:
-RootTable.key checks a tuple's length and range before encoding it (so
-nothing outside the box lands on another vector's key), and get, in,
-entries, roots, export_rows, lines_by_height, c_value and query_mult
-decode or encode there.  compute_all derives each chamber point's key,
+The table holds each recorded vector once, in the dict of its height, and
+every reader passes the height it knows; the levels, candidate buckets
+and walk hold keys.  Tuples appear only at the API edge: RootTable.key
+checks a tuple's length and range before encoding it (so nothing outside
+the box lands on another vector's key), and get, in, entries, roots,
+export_rows, lines_by_height, c_value and query_mult decode or encode
+there, and add no level.  compute_all derives each chamber point's key,
 height, g = gcd(beta) and norm (beta, beta) once, from the tuple that
 chamber_points yields, and hands them to peterson_c, mobius_mult,
 RootTable.record (whose guards still check key, height and g) and
@@ -62,8 +63,8 @@ pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
 member of its orbit, it takes only the reflections that raise the height,
 keeps every image of height at most the cap, and records each new member
 with the seed's own RootRecord: its values are Weyl invariants, so the
-whole orbit shares one record object.  The root table is the walk's only
-visited set, so no recorded vector is reflected twice.
+whole orbit shares one record object.  The table's levels are the walk's
+only visited set, so no recorded vector is reflected twice.
 
 Raising moves alone reach the whole orbit below the cap.  A positive root
 beta that is not a simple root and not in the fundamental chamber has an i
@@ -203,8 +204,10 @@ class RootTable:
 
     The engine's one state object: it carries the Cartan matrix, the cap,
     the counter of its run and the KeyCodec of the box [0, cap]^d, and
-    records maps key -> RootRecord.  Filled in by one run (pingpong and
-    the driver write to it); read-only once compute_all returns.  The
+    levels, its one store of records: height -> {key -> RootRecord}.
+    Filled in by one run (pingpong and the driver write to it, and their
+    reads may add an empty level in 1..cap, which exports nothing);
+    read-only once compute_all returns.  The
     Peterson sum reads it through candidate buckets, one per height, built
     on first use in ascending height; a height whose bucket is built is
     frozen and takes no further records.
@@ -218,8 +221,7 @@ class RootTable:
         self.counter = counter if counter is not None else KillingCounter()
         self.codec = KeyCodec(cm.d, cap)
         self.columns = tuple(zip(*cm.a))  # pingpong's update of p = A beta
-        self.records: dict[int, RootRecord] = {}
-        self._by_height: dict[int, list[int]] = {}
+        self.levels: defaultdict[int, dict[int, RootRecord]] = defaultdict(dict)
         self._buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
 
     def key(self, beta: Vec) -> int | None:
@@ -233,20 +235,22 @@ class RootTable:
         return self.codec.encode(beta)
 
     def __contains__(self, beta: Vec) -> bool:
-        return self.key(beta) in self.records
+        return self.get(beta) is not None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(map(len, self.levels.values()))
 
     def get(self, beta: Vec) -> RootRecord | None:
-        return self.records.get(self.key(beta))
+        key = self.key(beta)  # checked before any level is read
+        return None if key is None else self.levels.get(sum(beta), {}).get(key)
 
     @property
     def entries(self) -> dict[Vec, RootRecord]:
-        """A copy of the records keyed by vector, in record order, built
-        on each access: for readers, never used by the engine."""
-        decode = self.codec.decode
-        return {decode(k): rec for k, rec in self.records.items()}
+        """A copy of the records keyed by vector, by height and within a
+        height in record order, built on each access: for readers, never
+        used by the engine."""
+        decode, levels = self.codec.decode, self.levels
+        return {decode(k): rec for h in sorted(levels) for k, rec in levels[h].items()}
 
     def record(self, key: int, h: int, rec: RootRecord) -> None:
         """Store the vector of key, of height h, with rec, the record of its
@@ -265,7 +269,8 @@ class RootTable:
             shown = codec.decode(key) if 0 <= key < codec.limit else hex(key)
             raise ValueError(f"cannot record {shown}: not positive within cap")
         beta = codec.decode(key)
-        if key in self.records:
+        level = self.levels[h]
+        if key in level:
             raise ValueError(f"{beta} already recorded")
         if h <= len(self._buckets):
             raise ValueError(
@@ -274,8 +279,7 @@ class RootTable:
             )
         if rec.g != gcd(*beta):
             raise ValueError(f"cannot record {beta} with g = {rec.g}")
-        self.records[key] = rec
-        self._by_height.setdefault(h, []).append(key)
+        level[key] = rec
 
     # pingpong records its images through this second name of the same
     # function, so a wrapper on record (bench/job.py times one span per
@@ -293,32 +297,21 @@ class RootTable:
         whose key is n key(r), g = n, gc = 1 and norm n^2 (r, r).  Entries
         are in the order they were built, not sorted.
         """
-        records, by_height, buckets = self.records, self._by_height, self._buckets
+        levels, buckets = self.levels, self._buckets
         while len(buckets) < h:
             b = len(buckets) + 1
-            rows = []
-            for k in by_height.get(b, ()):
-                rec = records[k]
-                rows.append((k, rec.g, rec.gc, rec.norm))
+            rows = [(k, rec.g, rec.gc, rec.norm) for k, rec in levels[b].items()]
             for n in range(2, b + 1):
                 if b % n == 0:
-                    for k in by_height.get(b // n, ()):
-                        rec = records[k]
+                    for k, rec in levels[b // n].items():
                         if rec.norm > 0:
                             rows.append((n * k, n, 1, n * n * rec.norm))
             buckets.append(rows)
         return buckets[:h]
 
-    def _sorted_keys(self):
-        """(height, key) of every record in (height, lex) order."""
-        for h in sorted(self._by_height):
-            for k in sorted(self._by_height[h]):
-                yield h, k
-
     def roots(self) -> list[Vec]:
         """All recorded vectors with positive multiplicity, (height, lex)."""
-        records, decode = self.records, self.codec.decode
-        return [decode(k) for _, k in self._sorted_keys() if records[k].mult > 0]
+        return [row["coords"] for row in self.export_rows() if row["mult"] > 0]
 
     def export_rows(self):
         """One row per recorded vector: coords, height, norm, c, mult, kind.
@@ -326,18 +319,18 @@ class RootTable:
         Sorted by (height, lex).  Norms come from the records, so exporting
         evaluates no form and never perturbs the cost measurement.
         """
-        records, decode = self.records, self.codec.decode
-        for h, k in self._sorted_keys():
-            rec = records[k]
-            g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
-            yield {
-                "coords": decode(k),
-                "height": h,
-                "norm": rec.norm,
-                "c": f"{rec.gc // g}/{rec.g // g}",
-                "mult": rec.mult,
-                "kind": rec.kind,
-            }
+        decode = self.codec.decode
+        for h, level in sorted(self.levels.items()):
+            for k, rec in sorted(level.items()):
+                g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
+                yield {
+                    "coords": decode(k),
+                    "height": h,
+                    "norm": rec.norm,
+                    "c": f"{rec.gc // g}/{rec.g // g}",
+                    "mult": rec.mult,
+                    "kind": rec.kind,
+                }
 
     def lines_by_height(self, fmt: str):
         """export_rows as CSV lines (no header) if fmt is "csv", else as
@@ -345,8 +338,8 @@ class RootTable:
         order.  A record's text around the coordinates and height is
         formatted once, and each height builds one %d line template per
         record present."""
-        records, decode, parts = self.records, self.codec.decode, {}
-        for rec in set(records.values()):
+        levels, decode, parts = self.levels, self.codec.decode, {}
+        for rec in {rec for level in levels.values() for rec in level.values()}:
             g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
             c = f"{rec.gc // g}/{rec.g // g}"
             if fmt == "csv":
@@ -356,14 +349,13 @@ class RootTable:
                               f'"kind": "{rec.kind}", "mult": {rec.mult}, "norm": {rec.norm}}}\n')
         sep, middle = (";", ",%d") if fmt == "csv" else (", ", '], "height": %d, ')
         coords = sep.join(["%d"] * self.cm.d)
-        for h in sorted(self._by_height):
+        for h, level in sorted(levels.items()):
             row = coords + middle % h
-            keys = sorted(self._by_height[h])
             template = {}
-            for rec in {records[k] for k in keys}:
+            for rec in set(level.values()):
                 head, tail = parts[rec]
                 template[rec] = head + row + tail
-            yield "".join([template[records[k]] % decode(k) for k in keys])
+            yield "".join([template[level[k]] % decode(k) for k in sorted(level)])
 
 
 def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
@@ -387,7 +379,7 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
     turns a key into its vector.  Ticks d * len(walk) pingpong forms,
     the seed's included, on table.counter once, at its end.
     """
-    record = table.records.get(key)
+    record = table.levels.get(h, {}).get(key)
     if record is None:
         raise KeyError(f"pingpong seed {seed} is not recorded in the table")
     cm, cap, codec = table.cm, table.cap, table.codec
@@ -398,7 +390,7 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
                 f"pingpong seed {seed} is not the lowest member of its orbit: "
                 f"reflection {i} lowers it"
             )
-    get, record_key = table.records.get, table.record_key
+    levels, record_key = table.levels, table.record_key
     shifts = codec.shifts
     columns = table.columns
     scaled = {}  # (i, p_i) -> p_i * (column i of A), built on first use
@@ -414,7 +406,7 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
             if p_i >= 0 or h - p_i > cap:
                 continue
             image = key - (p_i << shifts[i])
-            existing = get(image)
+            existing = levels[h - p_i].get(image)
             if existing is None:
                 record_key(image, h - p_i, record)
                 walk.append(image)
@@ -434,16 +426,17 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
     return walk
 
 
-def _lookup(table: RootTable, key: int) -> tuple[int, int, int] | None:
-    """(g, gc, norm) of the vector of key if c != 0 there: its record's
-    values, or (n, 1, n^2 (r, r)) for a multiple n r of a recorded real
-    root r; None when c = 0."""
-    rec = table.records.get(key)
+def _lookup(table: RootTable, key: int, h: int) -> tuple[int, int, int] | None:
+    """(g, gc, norm) of the vector of key, of height h, if c != 0 there:
+    its record's values, or (n, 1, n^2 (r, r)) for a multiple n r of a
+    recorded real root r; None when c = 0.  Adds no level."""
+    levels = table.levels
+    rec = levels.get(h, {}).get(key)
     if rec is not None:
         return rec.g, rec.gc, rec.norm
     n = gcd(*table.codec.decode(key))
     if n >= 2:
-        base = table.records.get(key // n)
+        base = levels.get(h // n, {}).get(key // n)
         if base is not None and base.norm > 0:
             return n, 1, n * n * base.norm
     return None
@@ -466,7 +459,7 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
         return Fraction(0)
     if height(gamma) > table.cap:
         raise HeightExceedsCap(f"height {height(gamma)} exceeds table cap {table.cap}")
-    found = _lookup(table, table.key(gamma))
+    found = _lookup(table, table.key(gamma), height(gamma))
     return Fraction(found[1], found[0]) if found else Fraction(0)
 
 
@@ -499,11 +492,12 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
     guard = table.codec.guard
-    get = table.records.get
+    levels = table.levels
     by_den: defaultdict[int, int] = defaultdict(int)
     forms = 1  # (beta, beta)
     for h, bucket in enumerate(table.candidates(top // 2), 1):
         middle = 2 * h == top
+        get = levels[top - h].get  # v = beta - u has height top - h
         for ku, g_u, gc_u, norm_u in bucket:
             kv = key - ku
             if kv & guard or middle and ku > kv:
@@ -512,7 +506,7 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
             if rec is not None:
                 g_v, gc_v, _, norm_v = rec
             else:
-                found = _lookup(table, kv)
+                found = _lookup(table, kv, top - h)
                 if found is None:
                     continue
                 g_v, gc_v, norm_v = found
@@ -537,11 +531,12 @@ def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
     """
     total = gc
     if g > 1:
+        h = table.codec.height(key)
         for n in range(2, g + 1):
             if g % n == 0:
                 mu = mobius(n)
                 if mu:
-                    found = _lookup(table, key // n)
+                    found = _lookup(table, key // n, h // n)
                     if found:
                         total += mu * found[1]
     if total < 0 or total % g:
@@ -581,9 +576,8 @@ def compute_all(
     """
     table = RootTable(cm, cap, counter)
     codec = table.codec
-    for i, shift in enumerate(codec.shifts):
+    for i, shift in enumerate(codec.shifts):  # a walk never comes back to height 1
         table.record(1 << shift, 1, RootRecord(1, 1, 1, cm.s[i][i]))
-    for i, shift in enumerate(codec.shifts):
         pingpong(table, unit(cm.d, i), 1 << shift, 1)
 
     gens = None

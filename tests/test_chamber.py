@@ -13,6 +13,7 @@ from rootmult import (
     killing,
     preset_matrix,
 )
+from rootmult import chamber
 from rootmult.chamber import _det_adjugate, _finite_type_inverse
 from rootmult.lattice import height, leq, vsub
 from helpers import (
@@ -139,6 +140,22 @@ def test_chamber_points_have_nonpositive_norm():
         cm = build(grid)
         for beta in chamber_points(cm, 12):
             assert killing(cm, beta, beta) <= 0
+
+
+def test_a_positive_definite_matrix_costs_one_elimination(monkeypatch):
+    # (beta, beta) = sum_j beta_j (beta, alpha_j) <= 0 at a chamber point, so
+    # a positive definite S has none: 2 I of rank 40 stops after the block
+    # of all of S, without the 39 smaller blocks
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return _det_adjugate(rows)
+
+    monkeypatch.setattr(chamber, "_det_adjugate", counted)
+    grid = [[2 * (i == j) for j in range(40)] for i in range(40)]
+    assert chamber_points(build(grid), 5) == []
+    assert sizes == [40]
 
 
 def test_e10_basis_is_its_ray_lattice():

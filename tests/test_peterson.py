@@ -396,6 +396,39 @@ def test_tuples_outside_the_box_reach_no_key():
             c_value(table, beta)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=4), cap=st.integers(1, 14))
+def test_levels_hold_each_record_once_and_edge_reads_add_no_level(grid, cap):
+    # Every key sits in the level of its height, within 1..cap; the table's
+    # size, its entries and its exported CSV rows agree; reads at the tuple
+    # edge of negative, zero, wrong-length and above-cap tuples add no
+    # level; and an empty level exports nothing.
+    cm = build(grid)
+    table = compute_all(cm, cap)
+    for h, level in table.levels.items():
+        assert 1 <= h <= cap
+        assert all(table.codec.height(k) == h for k in level)
+    text = "".join(table.lines_by_height("csv"))
+    assert len(table) == len(table.entries) == text.count("\n")
+    heights = set(table.levels)
+    d = cm.d
+    probes = [(-1,) * d, (-1,) + (1,) * (d - 1), (0,) * d, (1,) * (d + 1), (),
+              (cap + 1,) + (0,) * (d - 1), (cap,) * d]
+    for beta in probes:
+        assert (beta in table) == (table.get(beta) is not None)
+        assert table.get(beta) is None or beta == (cap,) * d
+        for read in (c_value, query_mult):
+            try:
+                read(table, beta)
+            except ValueError:  # wrong length, or HeightExceedsCap
+                pass
+    assert set(table.levels) == heights
+    assert "".join(table.lines_by_height("csv")) == text
+    for h in range(1, cap + 1):  # an empty level at every height without records
+        table.levels[h]
+    assert "".join(table.lines_by_height("csv")) == text
+
+
 def test_c_value_above_the_cap_raises():
     # Above the cap the table cannot tell c; these vectors have c != 0
     # (affine-a1 at height 6: c(3, 3) = 4/3 and c(6, 0) = 1/6; hyp-2-3:
