@@ -8,11 +8,11 @@ Peterson recurrence
               / ((beta, beta) - 2 (rho, beta))
 
 at each point of the fundamental chamber, where the sum only needs the
-vectors whose c-value is nonzero: previously recorded roots, and positive
-multiples n*gamma of recorded real roots, which contribute c = 1/n without
-ever being stored.  Multiplicities follow by Moebius inversion over the
-divisor lattice of gcd(beta), and each new root's orbit is closed by
-pingpong before the next height is processed.
+vectors whose c-value is nonzero: previously recorded roots, and the
+scaled reals n*r (n >= 2, r a recorded real root), which are not roots,
+have c = 1/n and are kept apart from the roots.  Multiplicities follow by
+Moebius inversion over the divisor lattice of gcd(beta), and each new
+root's orbit is closed by pingpong before the next height is processed.
 
 A diagram automorphism sigma (a node permutation preserving S, see
 cartan.automorphisms) maps the chamber to itself and preserves the form,
@@ -55,9 +55,11 @@ chamber_points yields, and hands them to peterson_c, mobius_mult,
 RootTable.record (whose guards still check key, height and g) and
 pingpong.  The Peterson sum is one pass per chamber point over the
 candidate buckets of heights 1..top/2, each entry (key, g, gc, norm) of a
-vector with c != 0; the guard-mask test keeps the entries u <= beta, and
-in the bucket of height top/2 only those with u <= v in key order, so
-every unordered pair {u, v} is visited once.
+vector with c != 0, roots then scaled reals; the guard-mask test keeps
+the entries u <= beta, and in the bucket of height top/2 only those with
+u <= v in key order, so every unordered pair {u, v} is visited once.  The
+partner v = beta - u is read from the roots, then the scaled reals, of
+its height.
 
 pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
 member of its orbit, it takes only the reflections that raise the height,
@@ -94,10 +96,10 @@ an integer, because c(beta) = sum_{n | g} m(beta/n)/n; compute_all checks
 that once per chamber point, right after the Peterson sum, and from there
 on the table takes only integers: a record stores gc beside g, the
 multiplicity and the norm (beta, beta), which also decides the kind (real
-iff positive).  The Peterson sum takes each pair's form from stored norms,
-2 (u, v) = (beta, beta) - (u, u) - (v, v), with (n r, n r) = n^2 (r, r)
-for a scaled real root, and still charges the cost model one form per
-pair.  The sum returns an integer fraction, and g*c is one divmod of
+iff positive); a scaled real n r has the record (n, 1, 0, n^2 (r, r)).
+The Peterson sum takes each pair's form from stored norms, 2 (u, v) =
+(beta, beta) - (u, u) - (v, v), and still charges the cost model one form
+per pair.  The sum returns an integer fraction, and g*c is one divmod of
 g times its numerator by its denominator, the remainder checked.  The
 Moebius inversion reads c(beta/n) at key(beta) / n.  Fraction appears
 only in c_value and RootRecord.c, for readers, and in error messages.
@@ -207,10 +209,10 @@ class RootTable:
     levels, its one store of records: height -> {key -> RootRecord}.
     Filled in by one run (pingpong and the driver write to it, and their
     reads may add an empty level in 1..cap, which exports nothing);
-    read-only once compute_all returns.  The
-    Peterson sum reads it through candidate buckets, one per height, built
-    on first use in ascending height; a height whose bucket is built is
-    frozen and takes no further records.
+    read-only once compute_all returns.  multiples[h - 1] maps the key of
+    each scaled real of height h to its record; a height whose scaled reals
+    are built is frozen and takes no further records.  The Peterson sum
+    scans both through candidate buckets, lists built on first use.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -222,6 +224,7 @@ class RootTable:
         self.codec = KeyCodec(cm.d, cap)
         self.columns = tuple(zip(*cm.a))  # pingpong's update of p = A beta
         self.levels: defaultdict[int, dict[int, RootRecord]] = defaultdict(dict)
+        self.multiples: list[dict[int, RootRecord]] = []  # height h at h - 1
         self._buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
 
     def key(self, beta: Vec) -> int | None:
@@ -272,10 +275,10 @@ class RootTable:
         level = self.levels[h]
         if key in level:
             raise ValueError(f"{beta} already recorded")
-        if h <= len(self._buckets):
+        if h <= len(self.multiples):
             raise ValueError(
-                f"cannot record {beta}: height {h} is frozen, the Peterson "
-                f"candidates up to height {len(self._buckets)} are already built"
+                f"cannot record {beta}: height {h} is frozen, the scaled "
+                f"reals up to height {len(self.multiples)} are already built"
             )
         if rec.g != gcd(*beta):
             raise ValueError(f"cannot record {beta} with g = {rec.g}")
@@ -287,26 +290,41 @@ class RootTable:
     # chamber point that is a root.
     record_key = record
 
+    def build_multiples(self, h: int) -> None:
+        """Build the scaled reals of every height up to h not built yet,
+        which freezes those heights: at height b, n key(r) -> the record
+        (n, 1, 0, n^2 (r, r)) for each recorded real root r (norm > 0) and
+        n >= 2 with n ht(r) = b.  Adds no level."""
+        levels, multiples = self.levels, self.multiples
+        while len(multiples) < h:
+            b = len(multiples) + 1
+            multiples.append({
+                n * k: RootRecord(n, 1, 0, n * n * rec.norm)
+                for n in range(2, b + 1) if b % n == 0
+                for k, rec in levels.get(b // n, {}).items() if rec.norm > 0
+            })
+
+    def nonzero(self, key: int, h: int) -> RootRecord | None:
+        """The record of the vector of key, of height h >= 1, if its c is
+        nonzero: a root's or a scaled real's; else None.  Builds the scaled
+        reals up to h, and adds no level."""
+        self.build_multiples(h)
+        return self.levels.get(h, {}).get(key) or self.multiples[h - 1].get(key)
+
     def candidates(self, h: int) -> list[list[tuple]]:
         """The Peterson candidate buckets of heights 1..h, in that order;
-        builds every missing one, which freezes those heights.
+        builds every missing one, and the scaled reals up to h.
 
         The bucket of height b holds one entry (key, g, gc, norm) per
-        vector u of height b with c(u) != 0: every recorded u, and every
-        multiple u = n r (n >= 2) of a recorded real root r (norm > 0),
-        whose key is n key(r), g = n, gc = 1 and norm n^2 (r, r).  Entries
-        are in the order they were built, not sorted.
+        vector u of height b with c(u) != 0: the roots of levels[b], then
+        the scaled reals of multiples[b - 1], in build order.
         """
+        self.build_multiples(h)
         levels, buckets = self.levels, self._buckets
         while len(buckets) < h:
             b = len(buckets) + 1
-            rows = [(k, rec.g, rec.gc, rec.norm) for k, rec in levels[b].items()]
-            for n in range(2, b + 1):
-                if b % n == 0:
-                    for k, rec in levels[b // n].items():
-                        if rec.norm > 0:
-                            rows.append((n * k, n, 1, n * n * rec.norm))
-            buckets.append(rows)
+            buckets.append([(k, rec.g, rec.gc, rec.norm) for level in (
+                levels[b], self.multiples[b - 1]) for k, rec in level.items()])
         return buckets[:h]
 
     def roots(self) -> list[Vec]:
@@ -426,41 +444,24 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
     return walk
 
 
-def _lookup(table: RootTable, key: int, h: int) -> tuple[int, int, int] | None:
-    """(g, gc, norm) of the vector of key, of height h, if c != 0 there:
-    its record's values, or (n, 1, n^2 (r, r)) for a multiple n r of a
-    recorded real root r; None when c = 0.  Adds no level."""
-    levels = table.levels
-    rec = levels.get(h, {}).get(key)
-    if rec is not None:
-        return rec.g, rec.gc, rec.norm
-    n = gcd(*table.codec.decode(key))
-    if n >= 2:
-        base = levels.get(h // n, {}).get(key // n)
-        if base is not None and base.norm > 0:
-            return n, 1, n * n * base.norm
-    return None
-
-
 def c_value(table: RootTable, gamma: Vec) -> Fraction:
-    """c(gamma) from the table plus the scaled-real rule.
+    """c(gamma), read from the roots and scaled reals of its height.
 
-    Recorded vectors answer directly.  An unrecorded gamma can only have a
-    nonzero c-value if gamma = n * r for a recorded real root r, in which
-    case c(gamma) = 1/n; everything else is 0, and so is a gamma with a
-    negative coordinate.  A gamma of the wrong length raises ValueError and
+    A recorded root answers its c, a scaled real n r its c = 1/n, and
+    everything else 0, as does a gamma with a negative coordinate and the
+    zero vector.  A gamma of the wrong length raises ValueError and
     a non-negative gamma above the table's cap HeightExceedsCap, as in
-    query_mult: the table cannot tell its c-value.  Pure lookup, no form
-    evaluations.
+    query_mult: the table cannot tell its c-value.  No form evaluations;
+    builds the scaled reals up to gamma's height, which freezes them.
     """
     if len(gamma) != table.cm.d:
         raise ValueError("dimension mismatch")
-    if min(gamma) < 0:
+    if min(gamma) < 0 or not any(gamma):
         return Fraction(0)
     if height(gamma) > table.cap:
         raise HeightExceedsCap(f"height {height(gamma)} exceeds table cap {table.cap}")
-    found = _lookup(table, table.key(gamma), height(gamma))
-    return Fraction(found[1], found[0]) if found else Fraction(0)
+    rec = table.nonzero(table.key(gamma), height(gamma))
+    return rec.c if rec else Fraction(0)
 
 
 def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tuple[int, int]:
@@ -473,10 +474,11 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
     decompositions with both c-values nonzero.  A zero denominator raises
     ZeroDenominator before any tick.
 
-    Chamber points are minimal in height within their orbit, so once beta
-    is reached the buckets of height <= top/2 are final.  Every entry u of
-    those buckets is scanned, and the guard-mask test is the only test for
-    u <= beta.  It holds also where key - ku is negative (u_0 > beta_0):
+    Chamber points are minimal in height within their orbit and walks only
+    raise the height, so once beta is reached every height below top is
+    final, and the sum builds the scaled reals up to top - 1.  Every entry
+    u of the buckets of height <= top/2 is scanned, and the guard-mask test
+    is the only test for u <= beta.  It holds also where key - ku is negative (u_0 > beta_0):
     Python's ints borrow as infinite two's complement, so the low fields of
     a negative difference are those of the difference modulo 2^(8wd), and
     the lowest field with u_i > beta_i still sets its guard bit.  At
@@ -492,24 +494,21 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
     guard = table.codec.guard
-    levels = table.levels
+    table.build_multiples(top - 1)
+    levels, multiples = table.levels, table.multiples
     by_den: defaultdict[int, int] = defaultdict(int)
     forms = 1  # (beta, beta)
     for h, bucket in enumerate(table.candidates(top // 2), 1):
         middle = 2 * h == top
-        get = levels[top - h].get  # v = beta - u has height top - h
+        get, scaled = levels[top - h].get, multiples[top - h - 1].get  # at v's height
         for ku, g_u, gc_u, norm_u in bucket:
             kv = key - ku
             if kv & guard or middle and ku > kv:
                 continue
-            rec = get(kv)
-            if rec is not None:
-                g_v, gc_v, _, norm_v = rec
-            else:
-                found = _lookup(table, kv, top - h)
-                if found is None:
-                    continue
-                g_v, gc_v, norm_v = found
+            rec = get(kv) or scaled(kv)
+            if rec is None:
+                continue
+            g_v, gc_v, _, norm_v = rec
             forms += 1
             term = gc_u * gc_v * (norm - norm_u - norm_v)
             by_den[g_u * g_v] += term if ku != kv else term >> 1
@@ -536,9 +535,9 @@ def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
             if g % n == 0:
                 mu = mobius(n)
                 if mu:
-                    found = _lookup(table, key // n, h // n)
-                    if found:
-                        total += mu * found[1]
+                    rec = table.nonzero(key // n, h // n)
+                    if rec:
+                        total += mu * rec.gc
     if total < 0 or total % g:
         raise NonIntegerMultiplicity(
             f"m({render(table.codec.decode(key))}) = {Fraction(total, g)} "

@@ -33,7 +33,7 @@ from rootmult.peterson import (
 )
 from rootmult.metrics import PHASE_SUM
 from helpers import (
-    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, record, symmetrizable_gcms,
+    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, record, symmetrizable_gcms,
 )
 
 
@@ -117,17 +117,18 @@ def test_records_hold_integer_gc_and_orbit_invariants():
 def test_record_below_a_frozen_height_raises():
     cm = build(HYP3)
     table = compute_all(cm, 10)
-    # the chamber point (5, 5) indexed the candidates up to height 5;
-    # (2, 0) is not a root, so only the freeze can refuse it
-    with pytest.raises(ValueError, match="frozen"):
-        record(table, (2, 0))
-    record(table, (6, 0))
-    # building the bucket of height 3 on a fresh table builds those below
-    # it too, and freezes every height <= 3
+    # the chamber point (5, 5) built the scaled reals up to height 9;
+    # (2, 0) and (9, 0) are not roots, so only the freeze can refuse them
+    for beta in ((2, 0), (9, 0)):
+        with pytest.raises(ValueError, match="frozen"):
+            record(table, beta)
+    record(table, (10, 0))
+    # building the scaled reals of height 3 on a fresh table builds those
+    # below it too, and freezes every height <= 3
     table = RootTable(cm, 10)
     for alpha in ((1, 0), (0, 1)):
         record(table, alpha)
-    table.candidates(3)
+    table.build_multiples(3)
     for beta in ((1, 1), (2, 1)):
         with pytest.raises(ValueError, match="frozen"):
             record(table, beta)
@@ -139,11 +140,11 @@ def test_record_below_a_frozen_height_raises():
 def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
     # At every chamber point: the value against the recurrence summed over
     # all of subroots(beta), the form count against the pairs the one-pass
-    # sum should visit (u below half the height, or at half with u <= v),
-    # and each candidate bucket against a scan of its height.
+    # sum should visit (u below half the height, or at half with u <= v);
+    # then the scaled reals of each built height against a scan of the
+    # recorded real roots.
     cm = build(grid)
     table = compute_all(cm, cap)
-    decode = table.codec.decode
     for beta in chamber_points(cm, cap):
         top = height(beta)
         total, visited = Fraction(0), 0
@@ -158,14 +159,16 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
         value = Fraction(*peterson_c(table, beta, table.key(beta), top, norm))
         assert value == total / (norm - rho_pair(cm, beta))
         assert table.counter.count(PHASE_SUM) - before == 1 + visited
-        for h in range(1, top // 2 + 1):
-            entries = table.candidates(h)[h - 1]
-            expected = {u: c_value(table, u) for u in box_points(cm.d, h) if height(u) == h}
-            assert sorted(decode(e[0]) for e in entries) == sorted(u for u, c in expected.items() if c)
-            for key, g, gc, norm in entries:
-                u = decode(key)
-                assert Fraction(gc, g) == expected[u] and g == coord_gcd(u)
-                assert norm == killing(cm, u, u)
+    entries = tuple(table.entries.items())
+    for b, scaled in enumerate(table.multiples, 1):
+        expected = {}
+        for r, rec in entries:
+            n, rest = divmod(b, height(r))
+            if rec.norm > 0 and n >= 2 and not rest:
+                u = tuple(n * x for x in r)
+                expected[u] = RootRecord(n, 1, 0, killing(cm, u, u))
+        assert {table.codec.decode(k): rec for k, rec in scaled.items()} == expected
+        assert not scaled.keys() & table.levels.get(b, {}).keys()
 
 
 def test_c_value_covers_scaled_reals_without_storing():
@@ -442,8 +445,8 @@ def test_c_value_above_the_cap_raises():
     with pytest.raises(HeightExceedsCap):
         c_value(compute_all(build(HYP3), 4), (2, 3))
     assert c_value(compute_all(build(HYP3), 5), (2, 3)) == 2
-    # below the cap, vectors of mixed or negative sign still answer 0
-    assert c_value(table, (-3, 3)) == c_value(table, (-6, 0)) == 0
+    # below the cap, vectors of mixed or negative sign and zero still answer 0
+    assert c_value(table, (-3, 3)) == c_value(table, (-6, 0)) == c_value(table, (0, 0)) == 0
 
 
 def test_export_rows_sorted_and_schema():
