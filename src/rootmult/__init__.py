@@ -6,6 +6,9 @@ Peterson recurrence on the points of the fundamental chamber in ascending
 height order.  All arithmetic is exact, and every bilinear-form evaluation
 is counted so the measured cost can be compared against the closed-form
 cost of the naive full-lattice algorithm.
+
+The naive oracle (OracleTable, compare_tables, naive_compute) is loaded on
+first use, so importing the package does not pay for it or for fractions.
 """
 
 from .cartan import (
@@ -32,7 +35,6 @@ from .metrics import (
     k_ascent_measured,
     k_naive_closed,
 )
-from .oracle import OracleTable, compare_tables, naive_compute
 from .peterson import (
     HeightExceedsCap,
     NonIntegerMultiplicity,
@@ -49,6 +51,15 @@ from .peterson import (
 from .presets import preset_matrix, tree_matrix
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("OracleTable", "compare_tables", "naive_compute"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CartanMatrix",

@@ -15,7 +15,6 @@ engine's packed-key arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -56,7 +55,8 @@ def build(entries) -> CartanMatrix:
 
     Returns the matrix together with its minimal integer symmetrizer,
     found by propagating d_j = d_i * a_ij / a_ji over each Dynkin-graph
-    component and clearing denominators.
+    component, each ratio a reduced integer pair (numerator, denominator),
+    and clearing denominators: multiplying by their lcm.
 
     Raises NotGCM on an axiom violation, NotSymmetrizable if the ratio
     constraints conflict around a cycle, ValueError on a malformed grid.
@@ -84,20 +84,25 @@ def build(entries) -> CartanMatrix:
             if (a[i][j] == 0) != (a[j][i] == 0):
                 raise NotGCM(f"zero pattern asymmetric at ({i},{j})")
 
-    # Propagate symmetrizer ratios over each connected component.
-    ratios: list[Fraction | None] = [None] * d
+    # Propagate the ratios d_k / d_start over each connected component, as
+    # reduced integer pairs (num, den), so equal ratios are equal pairs.
+    ratios: list[tuple[int, int] | None] = [None] * d
+    sym = [0] * d
     for start in range(d):
         if ratios[start] is not None:
             continue
         component = [start]
-        ratios[start] = Fraction(1)
+        ratios[start] = (1, 1)
         queue = [start]
         while queue:
             i = queue.pop()
+            num_i, den_i = ratios[i]
             for j in range(d):
                 if j == i or a[i][j] == 0:
                     continue
-                want = ratios[i] * Fraction(a[i][j], a[j][i])
+                num, den = -num_i * a[i][j], -den_i * a[j][i]  # a_ij, a_ji < 0
+                g = gcd(num, den)
+                want = (num // g, den // g)
                 if ratios[j] is None:
                     ratios[j] = want
                     component.append(j)
@@ -106,14 +111,16 @@ def build(entries) -> CartanMatrix:
                     raise NotSymmetrizable(
                         f"inconsistent symmetrizer ratio around a cycle at ({i},{j})"
                     )
-        # Smallest positive integers realizing the component's ratios.
-        denom_lcm = lcm(*(r.denominator for r in (ratios[k] for k in component)))
-        ints = [ratios[k] * denom_lcm for k in component]
-        g = gcd(*(x.numerator for x in ints))
-        for k, val in zip(component, ints):
-            ratios[k] = Fraction(val, g)
+        # Clearing denominators gives the smallest positive integers that
+        # realize the ratios: the start gets their lcm L, and for each prime
+        # power p^e exactly dividing L, a node whose reduced denominator
+        # carries p^e gets a value prime to p.
+        scale = lcm(*(ratios[k][1] for k in component))
+        for k in component:
+            num, den = ratios[k]
+            sym[k] = num * (scale // den)
 
-    sym = tuple(int(r) for r in ratios)
+    sym = tuple(sym)
     s = tuple(tuple(sym[i] * a[i][j] for j in range(d)) for i in range(d))
     for i in range(d):
         for j in range(d):

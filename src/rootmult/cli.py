@@ -26,7 +26,6 @@ from . import __version__
 from .cartan import NotGCM, NotSymmetrizable, build
 from .chamber import CapExceeded, hilbert_basis
 from .metrics import KillingCounter, counter_snapshot
-from .oracle import compare_tables, naive_compute
 from .peterson import MAX_CAP, NonIntegerMultiplicity, compute_all
 from .presets import PRESET_NAMES, preset_matrix
 
@@ -152,6 +151,8 @@ def run(args: argparse.Namespace) -> int:
 
         exit_code = EXIT_OK
         if args.oracle_check:
+            from .oracle import compare_tables, naive_compute  # loaded only here
+
             try:
                 oracle = naive_compute(cm, args.height, table.counter)
             except NonIntegerMultiplicity as e:

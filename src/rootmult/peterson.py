@@ -102,23 +102,27 @@ The Peterson sum takes each pair's form from stored norms, 2 (u, v) =
 per pair.  The sum returns an integer fraction, and g*c is one divmod of
 g times its numerator by its denominator, the remainder checked.  The
 Moebius inversion reads c(beta/n) at key(beta) / n.  Fraction appears
-only in c_value and RootRecord.c, for readers, and in error messages.
-No floating point is used anywhere in the engine.
+only in c_value and RootRecord.c, for readers, and in the three
+NonIntegerMultiplicity messages; each imports it where it is used, so a
+run that reads no c as a Fraction and raises none of them never loads
+fractions.  No floating point is used anywhere in the engine.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import defaultdict, deque
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, killing, rho_pair
 from .chamber import chamber_points
 from .lattice import Vec, height, mobius, render, unit
 from .metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 KIND_REAL = "real"
 KIND_IMAGINARY = "imaginary"
@@ -193,6 +197,8 @@ class RootRecord(NamedTuple):
 
     @property
     def c(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.gc, self.g)
 
     @property
@@ -454,6 +460,8 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
     query_mult: the table cannot tell its c-value.  No form evaluations;
     builds the scaled reals up to gamma's height, which freezes them.
     """
+    from fractions import Fraction
+
     if len(gamma) != table.cm.d:
         raise ValueError("dimension mismatch")
     if min(gamma) < 0 or not any(gamma):
@@ -477,13 +485,17 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
     Chamber points are minimal in height within their orbit and walks only
     raise the height, so once beta is reached every height below top is
     final, and the sum builds the scaled reals up to top - 1.  Every entry
-    u of the buckets of height <= top/2 is scanned, and the guard-mask test
-    is the only test for u <= beta.  It holds also where key - ku is negative (u_0 > beta_0):
-    Python's ints borrow as infinite two's complement, so the low fields of
-    a negative difference are those of the difference modulo 2^(8wd), and
-    the lowest field with u_i > beta_i still sets its guard bit.  At
-    h = top/2 an entry is also skipped when ku > key - ku, so each
-    unordered pair {u, v} is visited once, from u <= v.  A pair
+    u of the buckets of height <= top/2 is scanned.  The guard-mask test
+    is a fast reject of the entries with u not <= beta, and it decides
+    nothing the lookup would not: for such a u, kv = key - ku is negative
+    or has a wrapped field of at least 2^(8w - 1) > cap, and no recorded
+    vector or scaled real has such a key, so the lookup of v would miss.
+    The test saves that lookup.  It holds also where kv is negative
+    (u_0 > beta_0): Python's ints borrow as infinite two's complement, so
+    the low fields of a negative difference are those of the difference
+    modulo 2^(8wd), and the lowest field with u_i > beta_i still sets its
+    guard bit.  At h = top/2 an entry is also skipped when ku > key - ku,
+    so each unordered pair {u, v} is visited once, from u <= v.  A pair
     adds 2 (u, v) c(u) c(v), half that if u = v (beta = 2u), with c = gc/g
     and 2 (u, v) = (beta, beta) - (u, u) - (v, v) from stored norms: an
     integer numerator under the denominator g_u * g_v, the few
@@ -539,6 +551,8 @@ def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
                     if rec:
                         total += mu * rec.gc
     if total < 0 or total % g:
+        from fractions import Fraction
+
         raise NonIntegerMultiplicity(
             f"m({render(table.codec.decode(key))}) = {Fraction(total, g)} "
             f"is not a non-negative integer"
@@ -589,6 +603,8 @@ def compute_all(
             num, den = peterson_c(table, beta, key, top, norm)
             gc, rem = divmod(num * g, den)
             if rem:
+                from fractions import Fraction
+
                 raise NonIntegerMultiplicity(
                     f"gcd * c({render(beta)}) = {Fraction(num * g, den)} is not an integer"
                 )
@@ -601,6 +617,8 @@ def compute_all(
             table.record(key, top, RootRecord(g, gc, mult, norm))
             pingpong(table, beta, key, top)
         elif gc:
+            from fractions import Fraction
+
             raise NonIntegerMultiplicity(
                 f"c({render(beta)}) = {Fraction(gc, g)} but m = 0 at a chamber point"
             )

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 from time import perf_counter
 
 import pytest
@@ -59,9 +61,61 @@ def test_not_gcm_rejections():
 
 
 def test_not_symmetrizable_cycle():
-    # Ratios around the 3-cycle multiply to 1/4 != 1.
-    with pytest.raises(NotSymmetrizable):
-        build([[2, -1, -1], [-2, 2, -1], [-1, -2, 2]])
+    # The ratios d_j / d_i = a_ij / a_ji around each cycle multiply to a
+    # product != 1: 1/4 and 2 around the 3-cycles, 6 around 0-1-2-3-0.
+    for grid in ([[2, -1, -1], [-2, 2, -1], [-1, -2, 2]],
+                 [[2, -1, -1], [-1, 2, -2], [-1, -1, 2]],
+                 [[2, -2, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -3], [-1, 0, -1, 2]]):
+        assert fraction_symmetrizer(grid) is None
+        with pytest.raises(NotSymmetrizable, match="around a cycle"):
+            build(grid)
+
+
+def fraction_symmetrizer(grid):
+    """The coprime symmetrizer of each component by Fraction arithmetic:
+    d_j = d_i a_ij / a_ji propagated from d = 1 at the component's first
+    node, then scaled to coprime integers.  None if a cycle conflicts."""
+    d = len(grid)
+    ratios = [None] * d
+    for start in range(d):
+        if ratios[start] is not None:
+            continue
+        component, ratios[start] = [start], Fraction(1)
+        for i in component:  # grows while it is read
+            for j in range(d):
+                if j != i and grid[i][j]:
+                    want = ratios[i] * Fraction(grid[i][j], grid[j][i])
+                    if ratios[j] is None:
+                        ratios[j] = want
+                        component.append(j)
+                    elif ratios[j] != want:
+                        return None
+        scale = lcm(*(ratios[k].denominator for k in component))
+        ints = [int(ratios[k] * scale) for k in component]
+        for k, x in zip(component, ints):
+            ratios[k] = x // gcd(*ints)
+    return tuple(ratios)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=5))
+def test_integer_symmetrizer_matches_a_fraction_reference(grid):
+    cm = build(grid)
+    assert cm.sym == fraction_symmetrizer(grid)
+    assert all(cm.s[i][j] == cm.s[j][i] for i in range(cm.d) for j in range(cm.d))
+
+
+def test_each_component_gets_its_own_coprime_symmetrizer():
+    # Components {0, 3}, {1, 4} and {2}, interleaved: d_3 / d_0 = 1/3 and
+    # d_4 / d_1 = 2, each scaled to coprime integers on its own.
+    grid = [[2, 0, 0, -1, 0],
+            [0, 2, 0, 0, -2],
+            [0, 0, 2, 0, 0],
+            [-3, 0, 0, 2, 0],
+            [0, -1, 0, 0, 2]]
+    cm = build(grid)
+    assert cm.sym == (3, 1, 1, 1, 2) == fraction_symmetrizer(grid)
+    assert cm.s[0][3] == cm.s[3][0] == -3 and cm.s[1][4] == cm.s[4][1] == -2
 
 
 def test_malformed_grids():

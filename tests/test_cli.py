@@ -343,14 +343,35 @@ def test_metrics_ratio_beyond_the_float_range_is_null(tmp_path):
     assert len(proc.stdout.splitlines()) == 1 + 45 + 1  # header, 45 roots, report
 
 
-def test_cli_import_pulls_in_no_dataclasses_or_inspect():
-    # -S: no site module, whose preloads could hide what rootmult.cli imports
+def run_bare(code):
+    """stdout of code run by python -S with the package's source on the path.
+    -S: no site module, whose preloads could hide what rootmult imports."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rootmult.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys; sys.path.insert(0, sys.argv[1]); " + code, src],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_pulls_in_no_dataclasses_or_inspect():
+    # Neither the oracle nor fractions (with decimal and numbers behind it)
+    # is on the path of a run without --oracle-check.
+    unwanted = {"dataclasses", "inspect", "fractions", "decimal", "numbers",
+                "rootmult.oracle"}
+    assert run_bare(f"import rootmult.cli; print(sorted({unwanted!r} & set(sys.modules)))"
+                    ) == "[]"
+
+
+def test_oracle_names_load_on_first_use():
+    out = run_bare(
+        "import rootmult; loaded = 'rootmult.oracle' in sys.modules; "
+        "missing = [n for n in rootmult.__all__ if getattr(rootmult, n, None) is None]; "
+        "from rootmult import *; "
+        "print(loaded, missing, naive_compute is rootmult.oracle.naive_compute, "
+        "hasattr(rootmult, 'no_such_name'))")
+    assert out == "False [] True False"
+    proc = run_cli("--preset", "hyp-2-3", "--height", "10", "--oracle-check")
+    assert "oracle check: all values agree" in proc.stderr
 
 
 def test_byte_identical_reruns():

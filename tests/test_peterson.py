@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,7 +85,8 @@ def test_non_integer_gc_at_a_chamber_point_raises(monkeypatch):
         return (1, 3) if beta == (2, 2) else original(table, beta, key, top, norm)
 
     monkeypatch.setattr("rootmult.peterson.peterson_c", third_at_2_2)
-    with pytest.raises(NonIntegerMultiplicity, match="not an integer"):
+    with pytest.raises(NonIntegerMultiplicity,
+                       match=re.escape("gcd * c((2,2)) = 2/3 is not an integer")):
         compute_all(build(AFFINE_A1), 4)
 
 
@@ -92,9 +94,11 @@ def test_mobius_mult_raises_on_negative_or_indivisible_sum():
     table = compute_all(build(AFFINE_A1), 4)
     # g = 2 at (2, 2) and gc(1, 1) = 1: 2 m = gc(2, 2) - 1
     key = table.key((2, 2))
-    with pytest.raises(NonIntegerMultiplicity):
+    with pytest.raises(NonIntegerMultiplicity,
+                       match=re.escape("m((2,2)) = -1/2 is not a non-negative integer")):
         mobius_mult(table, key, 2, 0)   # 2 m = -1
-    with pytest.raises(NonIntegerMultiplicity):
+    with pytest.raises(NonIntegerMultiplicity,
+                       match=re.escape("m((2,2)) = 1/2 is not a non-negative integer")):
         mobius_mult(table, key, 2, 2)   # 2 m = 1
     assert mobius_mult(table, key, 2, 3) == 1
 
@@ -171,6 +175,39 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
         assert not scaled.keys() & table.levels.get(b, {}).keys()
 
 
+# hyp-2-3 sums only at beta_0 <= beta_1 (the first point of each orbit
+# under the node swap), where u_0 <= beta_0 and ht(u) <= top/2 force
+# u_1 <= beta_1: its rejected partner keys are all negative.
+@pytest.mark.parametrize("grid,cap,kinds", [
+    (HYP3, 60, {"negative"}),
+    (preset_matrix("e10"), 40, {"negative", "wrapped"}),
+])
+def test_guard_mask_rejects_only_entries_the_lookup_would_miss(monkeypatch, grid, cap,
+                                                               kinds):
+    # The guard test in peterson_c is a fast reject, not the decision: the
+    # partner key of every entry it skips is negative or has a wrapped
+    # field above the cap, so neither the roots nor the scaled reals of the
+    # partner's height hold it.
+    original = peterson.peterson_c
+    rejected = {"negative": 0, "wrapped": 0}
+
+    def checked(table, beta, key, top, norm):
+        result = original(table, beta, key, top, norm)
+        guard, levels, multiples = table.codec.guard, table.levels, table.multiples
+        for h, bucket in enumerate(table.candidates(top // 2), 1):
+            for ku, *_ in bucket:
+                kv = key - ku
+                if kv & guard:
+                    rejected["negative" if kv < 0 else "wrapped"] += 1
+                    assert kv not in levels.get(top - h, {})
+                    assert kv not in multiples[top - h - 1]
+        return result
+
+    monkeypatch.setattr("rootmult.peterson.peterson_c", checked)
+    compute_all(build(grid), cap)
+    assert {kind for kind, n in rejected.items() if n} == kinds, rejected
+
+
 def test_c_value_covers_scaled_reals_without_storing():
     table = compute_all(build(AFFINE_A1), 8)
     assert (2, 0) not in table
@@ -190,8 +227,16 @@ def test_nonzero_c_without_multiplicity_is_an_integrity_error(monkeypatch):
     # A non-root chamber point with c != 0 cannot occur; if Moebius
     # inversion ever reports m = 0 there, the run stops instead of
     # recording the point.
+    original = peterson.mobius_mult
     monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda table, key, g, gc: 0)
-    with pytest.raises(NonIntegerMultiplicity):
+    with pytest.raises(NonIntegerMultiplicity,
+                       match=re.escape("c((1,1)) = 1 but m = 0 at a chamber point")):
+        compute_all(build(AFFINE_A1), 4)
+    # only at g = 2, so the first failure is (2, 2), where c = 3/2
+    monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda table, key, g, gc:
+                        0 if g == 2 else original(table, key, g, gc))
+    with pytest.raises(NonIntegerMultiplicity,
+                       match=re.escape("c((2,2)) = 3/2 but m = 0 at a chamber point")):
         compute_all(build(AFFINE_A1), 4)
 
 
