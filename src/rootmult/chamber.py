@@ -83,9 +83,6 @@ def extreme_rays(cm: CartanMatrix) -> list[Vec]:
     for srow in cm.s:
         new_constraint = tuple(-x for x in srow)
         vals = [sum(c * r for c, r in zip(new_constraint, ray)) for ray in rays]
-        if all(v >= 0 for v in vals):
-            constraints.append(new_constraint)
-            continue
         zs = [active_set(r) for r in rays]
         keep = [rays[k] for k, v in enumerate(vals) if v >= 0]
         fresh: list[tuple[int, ...]] = []

@@ -32,9 +32,10 @@ G the mask of the guard bits:
 
 - u <= beta componentwise iff (key(beta) - key(u)) & G == 0: if it holds,
   no field borrows and each field of the difference is beta_i - u_i, in
-  [0, 2^(8w - 1)); if not, the lowest field with u_i > beta_i takes no
-  borrow from below and wraps to at least 2^(8w - 1), so its guard bit is
-  set;
+  [0, 2^(8w - 1)); if not, the difference is negative or the lowest field
+  with u_i > beta_i takes no borrow from below and wraps to at least
+  2^(8w - 1), so its guard bit is set, and it is the key of no vector of
+  the box;
 - then key(beta) - key(u) is key(beta - u), so the Peterson sum finds
   v = beta - u with one subtraction;
 - key(n gamma) = n key(gamma), so exact division by n divides gamma;
@@ -55,11 +56,12 @@ chamber_points yields, and hands them to peterson_c, mobius_mult,
 RootTable.record (whose guards still check key, height and g) and
 pingpong.  The Peterson sum is one pass per chamber point over the
 candidate buckets of heights 1..top/2, each entry (key, g, gc, norm) of a
-vector with c != 0, roots then scaled reals; the guard-mask test keeps
-the entries u <= beta, and in the bucket of height top/2 only those with
-u <= v in key order, so every unordered pair {u, v} is visited once.  The
-partner v = beta - u is read from the roots, then the scaled reals, of
-its height.
+vector with c != 0, roots then scaled reals, built as its height freezes.
+Each entry u is decided by one lookup of its partner key key(beta) -
+key(u) in the roots, then the scaled reals, of the partner's height: the
+lookup misses every u not <= beta, whose partner key is the key of no
+vector; in the bucket of height top/2 only the entries with u <= v in key
+order are looked up, so every unordered pair {u, v} is visited once.
 
 pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
 member of its orbit, it takes only the reflections that raise the height,
@@ -217,8 +219,10 @@ class RootTable:
     reads may add an empty level in 1..cap, which exports nothing);
     read-only once compute_all returns.  multiples[h - 1] maps the key of
     each scaled real of height h to its record; a height whose scaled reals
-    are built is frozen and takes no further records.  The Peterson sum
-    scans both through candidate buckets, lists built on first use.
+    are built is frozen and takes no further records.  buckets[h - 1], for
+    each frozen height h with 2h <= cap, lists the entries of both that the
+    Peterson sum scans, built in the same step as the scaled reals, so it
+    is final.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -231,7 +235,7 @@ class RootTable:
         self.columns = tuple(zip(*cm.a))  # pingpong's update of p = A beta
         self.levels: defaultdict[int, dict[int, RootRecord]] = defaultdict(dict)
         self.multiples: list[dict[int, RootRecord]] = []  # height h at h - 1
-        self._buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
+        self.buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
 
     def key(self, beta: Vec) -> int | None:
         """beta's key, or None unless beta has d coordinates in 0..cap.
@@ -300,8 +304,11 @@ class RootTable:
         """Build the scaled reals of every height up to h not built yet,
         which freezes those heights: at height b, n key(r) -> the record
         (n, 1, 0, n^2 (r, r)) for each recorded real root r (norm > 0) and
-        n >= 2 with n ht(r) = b.  Adds no level."""
-        levels, multiples = self.levels, self.multiples
+        n >= 2 with n ht(r) = b.  A frozen height b with 2b <= cap also
+        gets its Peterson candidate bucket, buckets[b - 1]: one entry (key,
+        g, gc, norm) per vector of height b with c != 0, the roots, then
+        the scaled reals.  Adds no level."""
+        levels, multiples, buckets = self.levels, self.multiples, self.buckets
         while len(multiples) < h:
             b = len(multiples) + 1
             multiples.append({
@@ -309,6 +316,9 @@ class RootTable:
                 for n in range(2, b + 1) if b % n == 0
                 for k, rec in levels.get(b // n, {}).items() if rec.norm > 0
             })
+            if 2 * b <= self.cap:
+                buckets.append([(k, rec.g, rec.gc, rec.norm) for level in (
+                    levels.get(b, {}), multiples[-1]) for k, rec in level.items()])
 
     def nonzero(self, key: int, h: int) -> RootRecord | None:
         """The record of the vector of key, of height h >= 1, if its c is
@@ -316,22 +326,6 @@ class RootTable:
         reals up to h, and adds no level."""
         self.build_multiples(h)
         return self.levels.get(h, {}).get(key) or self.multiples[h - 1].get(key)
-
-    def candidates(self, h: int) -> list[list[tuple]]:
-        """The Peterson candidate buckets of heights 1..h, in that order;
-        builds every missing one, and the scaled reals up to h.
-
-        The bucket of height b holds one entry (key, g, gc, norm) per
-        vector u of height b with c(u) != 0: the roots of levels[b], then
-        the scaled reals of multiples[b - 1], in build order.
-        """
-        self.build_multiples(h)
-        levels, buckets = self.levels, self._buckets
-        while len(buckets) < h:
-            b = len(buckets) + 1
-            buckets.append([(k, rec.g, rec.gc, rec.norm) for level in (
-                levels[b], self.multiples[b - 1]) for k, rec in level.items()])
-        return buckets[:h]
 
     def roots(self) -> list[Vec]:
         """All recorded vectors with positive multiplicity, (height, lex)."""
@@ -484,18 +478,16 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
 
     Chamber points are minimal in height within their orbit and walks only
     raise the height, so once beta is reached every height below top is
-    final, and the sum builds the scaled reals up to top - 1.  Every entry
-    u of the buckets of height <= top/2 is scanned.  The guard-mask test
-    is a fast reject of the entries with u not <= beta, and it decides
-    nothing the lookup would not: for such a u, kv = key - ku is negative
-    or has a wrapped field of at least 2^(8w - 1) > cap, and no recorded
-    vector or scaled real has such a key, so the lookup of v would miss.
-    The test saves that lookup.  It holds also where kv is negative
-    (u_0 > beta_0): Python's ints borrow as infinite two's complement, so
-    the low fields of a negative difference are those of the difference
-    modulo 2^(8wd), and the lowest field with u_i > beta_i still sets its
-    guard bit.  At h = top/2 an entry is also skipped when ku > key - ku,
-    so each unordered pair {u, v} is visited once, from u <= v.  A pair
+    final, and the sum builds the scaled reals, and with them the
+    buckets, up to top - 1.  Every entry u of the buckets of height <=
+    top/2 is scanned, and one lookup of kv = key - ku, in the roots and
+    then the scaled reals of height top - h, decides it.  The lookup
+    misses every u not <= beta: kv is then negative (u_0 > beta_0), or
+    the lowest field with u_i > beta_i wraps to at least 2^(8w - 1) and
+    sets its guard bit; record refuses a key with a guard bit set, and a
+    scaled real has none, its coordinates being at most the cap.  At h =
+    top/2 an entry is also skipped when ku > key - ku, so each unordered
+    pair {u, v} is visited once, from u <= v.  A pair
     adds 2 (u, v) c(u) c(v), half that if u = v (beta = 2u), with c = gc/g
     and 2 (u, v) = (beta, beta) - (u, u) - (v, v) from stored norms: an
     integer numerator under the denominator g_u * g_v, the few
@@ -505,17 +497,16 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
     denom = norm - rho_pair(table.cm, beta)
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
-    guard = table.codec.guard
     table.build_multiples(top - 1)
     levels, multiples = table.levels, table.multiples
     by_den: defaultdict[int, int] = defaultdict(int)
     forms = 1  # (beta, beta)
-    for h, bucket in enumerate(table.candidates(top // 2), 1):
+    for h, bucket in enumerate(table.buckets[:top // 2], 1):
         middle = 2 * h == top
         get, scaled = levels[top - h].get, multiples[top - h - 1].get  # at v's height
         for ku, g_u, gc_u, norm_u in bucket:
             kv = key - ku
-            if kv & guard or middle and ku > kv:
+            if middle and ku > kv:
                 continue
             rec = get(kv) or scaled(kv)
             if rec is None:
@@ -541,15 +532,14 @@ def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
     not a non-negative integer, which would mean an upstream bug.
     """
     total = gc
-    if g > 1:
-        h = table.codec.height(key)
-        for n in range(2, g + 1):
-            if g % n == 0:
-                mu = mobius(n)
-                if mu:
-                    rec = table.nonzero(key // n, h // n)
-                    if rec:
-                        total += mu * rec.gc
+    h = table.codec.height(key)
+    for n in range(2, g + 1):
+        if g % n == 0:
+            mu = mobius(n)
+            if mu:
+                rec = table.nonzero(key // n, h // n)
+                if rec:
+                    total += mu * rec.gc
     if total < 0 or total % g:
         from fractions import Fraction
 

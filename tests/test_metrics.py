@@ -148,8 +148,8 @@ def test_compute_all_form_counts_are_pinned(grid, cap, pingpong, peterson_sum):
     # if every point were summed), S_3 cuts HYP3D's (9,890) and the block
     # swaps of the decomposable AFFINE_A1_SQUARED cut its (216).  E10, E11,
     # HA1 and CHAIN4 have no automorphism, so each of their points is
-    # summed.  HYP3D at 30 and CHAIN4 are where most candidates fail the
-    # guard-mask test u <= beta.
+    # summed.  HYP3D at 30 and CHAIN4 are where most candidates u are not
+    # <= beta, so that their partner lookup misses.
     from rootmult import preset_matrix
 
     cm = build(preset_matrix(grid) if isinstance(grid, str) else grid)

@@ -146,7 +146,9 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
     # all of subroots(beta), the form count against the pairs the one-pass
     # sum should visit (u below half the height, or at half with u <= v);
     # then the scaled reals of each built height against a scan of the
-    # recorded real roots.
+    # recorded real roots, and each candidate bucket against the roots and
+    # scaled reals of its height, built for the frozen heights b with
+    # 2b <= cap only.
     cm = build(grid)
     table = compute_all(cm, cap)
     for beta in chamber_points(cm, cap):
@@ -173,19 +175,22 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
                 expected[u] = RootRecord(n, 1, 0, killing(cm, u, u))
         assert {table.codec.decode(k): rec for k, rec in scaled.items()} == expected
         assert not scaled.keys() & table.levels.get(b, {}).keys()
+    assert len(table.buckets) == min(len(table.multiples), cap // 2)
+    for b, bucket in enumerate(table.buckets, 1):
+        level = {**table.levels.get(b, {}), **table.multiples[b - 1]}
+        assert bucket == [(k, rec.g, rec.gc, rec.norm) for k, rec in level.items()]
 
 
 # hyp-2-3 sums only at beta_0 <= beta_1 (the first point of each orbit
 # under the node swap), where u_0 <= beta_0 and ht(u) <= top/2 force
-# u_1 <= beta_1: its rejected partner keys are all negative.
+# u_1 <= beta_1: the partner key of each entry u not <= beta is negative.
 @pytest.mark.parametrize("grid,cap,kinds", [
     (HYP3, 60, {"negative"}),
     (preset_matrix("e10"), 40, {"negative", "wrapped"}),
 ])
-def test_guard_mask_rejects_only_entries_the_lookup_would_miss(monkeypatch, grid, cap,
-                                                               kinds):
-    # The guard test in peterson_c is a fast reject, not the decision: the
-    # partner key of every entry it skips is negative or has a wrapped
+def test_entries_not_below_beta_miss_the_lookup(monkeypatch, grid, cap, kinds):
+    # peterson_c decides each bucket entry u by the lookup of its partner
+    # key alone: for u not <= beta that key is negative or has a wrapped
     # field above the cap, so neither the roots nor the scaled reals of the
     # partner's height hold it.
     original = peterson.peterson_c
@@ -194,7 +199,7 @@ def test_guard_mask_rejects_only_entries_the_lookup_would_miss(monkeypatch, grid
     def checked(table, beta, key, top, norm):
         result = original(table, beta, key, top, norm)
         guard, levels, multiples = table.codec.guard, table.levels, table.multiples
-        for h, bucket in enumerate(table.candidates(top // 2), 1):
+        for h, bucket in enumerate(table.buckets[:top // 2], 1):
             for ku, *_ in bucket:
                 kv = key - ku
                 if kv & guard:
