@@ -54,7 +54,9 @@ there, and add no level.  compute_all derives each chamber point's key,
 height, g = gcd(beta) and norm (beta, beta) once, from the tuple that
 chamber_points yields, and hands them to peterson_c, mobius_mult,
 RootTable.record (whose guards still check key, height and g) and
-pingpong.  The Peterson sum is one pass per chamber point over the
+pingpong.  Export splits each key into its high ceil(d/2) fields and its
+low floor(d/2) fields and formats each distinct half once per export.
+The Peterson sum is one pass per chamber point over the
 candidate buckets of heights 1..top/2, each entry (key, g, gc, norm) of a
 vector with c != 0, roots then scaled reals, built as its height freezes.
 Each entry u is decided by one lookup of its partner key key(beta) -
@@ -86,10 +88,14 @@ pairing vector p = A beta.  The reflection s_i changes only coordinate i,
 by -p_i, so it raises the height exactly when p_i < 0; the image is then
 positive, its key is key - (p_i << shifts[i]), its height h - p_i, and its
 pairing vector p - p_i * (column i of A), a scaled column built once per
-(i, p_i) in a walk.  No tuple of coordinates is built per image; the table
-records each new key under its carried height (RootTable.record_key), and
-the walk returns keys.  cartan.reflect is the pure single-step API on
-tuples and the tests' arbiter for the walk; pingpong does not call it.
+(i, p_i) in a walk.  No tuple of coordinates is built per image but the
+one the g check unpacks: the walk checks each new key under its carried
+height with RootTable.record's conditions, written out inline (a call per
+image would cost more than the checks), and stores it into the level it
+has already looked the key up in; an image that fails calls record, which
+raises its own error.  The walk returns keys.  cartan.reflect is the
+pure single-step API on tuples and the tests' arbiter for the walk;
+pingpong does not call it.
 The counter charges the cost model's d reflections (one form-equivalent
 evaluation each) per walked vector, in one bulk tick per walk.
 
@@ -274,7 +280,9 @@ class RootTable:
         carried height h <= cap, which then bounds every coordinate (the
         multiply is exact unless the fields sum to 2^(8w) or more, which
         takes three fields far above the cap); and g is checked against the
-        decoded coordinates.
+        decoded coordinates.  pingpong applies the same conditions inline
+        to its images and calls record only to raise the error of one that
+        fails, so these messages are written here alone.
         """
         codec = self.codec
         if (key & codec.guard or not (0 < key < codec.limit and 0 < h <= self.cap)
@@ -293,12 +301,6 @@ class RootTable:
         if rec.g != gcd(*beta):
             raise ValueError(f"cannot record {beta} with g = {rec.g}")
         level[key] = rec
-
-    # pingpong records its images through this second name of the same
-    # function, so a wrapper on record (bench/job.py times one span per
-    # call) sees only compute_all's calls: one per simple root and per
-    # chamber point that is a root.
-    record_key = record
 
     def build_multiples(self, h: int) -> None:
         """Build the scaled reals of every height up to h not built yet,
@@ -354,9 +356,13 @@ class RootTable:
         """export_rows as CSV lines (no header) if fmt is "csv", else as
         JSON lines with sorted keys, one str per height in (height, lex)
         order.  A record's text around the coordinates and height is
-        formatted once, and each height builds one %d line template per
-        record present."""
-        levels, decode, parts = self.levels, self.codec.decode, {}
+        formatted once, and each height builds one line template per record
+        present.  The coordinates come from two halves of the key, its high
+        ceil(d/2) fields (key >> shift) and its low floor(d/2) fields (key &
+        low_mask, empty at rank 1), each distinct half formatted once for
+        the whole export: at e10@80, 584 high and 509 low halves serve
+        15,627 rows."""
+        levels, parts = self.levels, {}
         for rec in {rec for level in levels.values() for rec in level.values()}:
             g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
             c = f"{rec.gc // g}/{rec.g // g}"
@@ -366,14 +372,31 @@ class RootTable:
                 parts[rec] = (f'{{"c": "{c}", "coords": [',
                               f'"kind": "{rec.kind}", "mult": {rec.mult}, "norm": {rec.norm}}}\n')
         sep, middle = (";", ",%d") if fmt == "csv" else (", ", '], "height": %d, ')
-        coords = sep.join(["%d"] * self.cm.d)
+        d, n = self.cm.d, (self.cm.d + 1) // 2  # n high fields, d - n low ones
+        shift = self.codec.shifts[n - 1]  # the low fields lie below it
+        low_mask = (1 << shift) - 1
+        highs = _HalfTexts(sep.join(["%d"] * n), n, self.cap)
+        lows = _HalfTexts((sep + "%d") * (d - n), d - n, self.cap)
         for h, level in sorted(levels.items()):
-            row = coords + middle % h
+            row = "%s%s" + middle % h
             template = {}
             for rec in set(level.values()):
                 head, tail = parts[rec]
                 template[rec] = head + row + tail
-            yield "".join([template[level[k]] % decode(k) for k in sorted(level)])
+            yield "".join([template[level[k]] % (highs[k >> shift], lows[k & low_mask])
+                           for k in sorted(level)])
+
+
+class _HalfTexts(dict):
+    """half-key -> fmt % its n coordinates, decoded by KeyCodec(n, cap) and
+    formatted on first use."""
+
+    def __init__(self, fmt: str, n: int, cap: int):
+        self.fmt, self.decode = fmt, KeyCodec(n, cap).decode
+
+    def __missing__(self, half: int) -> str:
+        text = self[half] = self.fmt % self.decode(half)
+        return text
 
 
 def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
@@ -388,9 +411,11 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
 
     Walks breadth-first from the seed, on keys, by the raising moves of
     height <= cap (module docstring).  An image that the table does not
-    hold is recorded with the seed's record object and walked in turn; one
-    it holds must carry that record or equal values (E10's simple roots
-    are recorded apart but share one orbit) and is not walked again.
+    hold passes RootTable.record's conditions, checked inline (one that
+    fails is handed to record, which raises its ValueError), is stored
+    with the seed's record object and is walked in turn; one it holds must
+    carry that record or equal values (E10's simple roots are recorded
+    apart but share one orbit) and is not walked again.
     Returns the keys of the new records in record order ([] on a second
     run): the walk's own list less its seed, not a copy, which at E10's
     first walk would add its size to the peak RSS.  table.codec.decode
@@ -408,9 +433,10 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
                 f"pingpong seed {seed} is not the lowest member of its orbit: "
                 f"reflection {i} lowers it"
             )
-    levels, record_key = table.levels, table.record_key
-    shifts = codec.shifts
-    columns = table.columns
+    levels, columns, frozen = table.levels, table.columns, len(table.multiples)
+    shifts, guard, limit, ones = codec.shifts, codec.guard, codec.limit, codec.ones
+    top_shift, mask, size, unpack = codec.top_shift, codec.mask, codec.size, codec._struct.unpack
+    g = record.g
     scaled = {}  # (i, p_i) -> p_i * (column i of A), built on first use
 
     walk = [key]
@@ -423,15 +449,21 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
         for i, p_i in enumerate(p):
             if p_i >= 0 or h - p_i > cap:
                 continue
-            image = key - (p_i << shifts[i])
-            existing = levels[h - p_i].get(image)
+            image, up = key - (p_i << shifts[i]), h - p_i
+            level = levels[up]
+            existing = level.get(image)
             if existing is None:
-                record_key(image, h - p_i, record)
+                # record's checks, inline: a call per image costs more than they do
+                if (image & guard or not 0 < image < limit or up <= frozen
+                        or (image * ones >> top_shift) & mask != up
+                        or gcd(*unpack(image.to_bytes(size, "big"))) != g):
+                    table.record(image, up, record)  # raises its precise error
+                level[image] = record
                 walk.append(image)
                 col = scaled.get((i, p_i))
                 if col is None:
                     col = scaled[i, p_i] = tuple([p_i * a for a in columns[i]])
-                frontier.append((h - p_i, tuple(map(sub, p, col))))
+                frontier.append((up, tuple(map(sub, p, col))))
             elif existing is not record and (existing.gc, existing.mult) != (
                 record.gc, record.mult
             ):

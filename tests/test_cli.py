@@ -224,11 +224,14 @@ def test_csv_writer_matches_row_formatting(grid, cap):
 @pytest.mark.parametrize("preset,height", [
     ("e10", 20),  # simple roots: distinct record objects with equal values
     ("hyp-2-3", 128),  # two-byte key fields
+    ("e11", 30),  # odd rank: the key's high half has 6 fields, its low half 5
 ])
 def test_cli_csv_matches_row_formatting(preset, height, capsys):
-    assert cli.main(["--preset", preset, "--height", str(height), "--quiet"]) == 0
     table = compute_all(build(preset_matrix(preset)), height)
-    assert capsys.readouterr().out == reference_csv(table)
+    for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
+        assert cli.main(["--preset", preset, "--height", str(height),
+                         "--format", fmt, "--quiet"]) == 0
+        assert capsys.readouterr().out == reference(table)
 
 
 def test_csv_c_in_lowest_terms():
@@ -481,7 +484,8 @@ def test_the_engine_names_the_bench_wraps_run_once_per_point(monkeypatch):
     # peterson_c once per summed chamber point (one per orbit of the swap),
     # mobius_mult once per chamber point, record and pingpong once per
     # simple root and per chamber point that is a root: every other vector
-    # is recorded by pingpong's walk, through record_key.
+    # is stored by pingpong's walk itself, which calls record only to
+    # raise its error for an image that fails record's checks.
     cm = build(SWAP4)
     points = chamber.chamber_points(cm, 12)
     group = ((0, 1, 2, 3), *automorphisms(cm))  # closed: the Klein four-group

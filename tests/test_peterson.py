@@ -411,9 +411,9 @@ def test_table_record_guards():
         RootTable(cm, 0)
 
 
-def test_record_key_guards_hold_on_the_key():
-    # pingpong records by key and carried height; rank 3 at cap 5 packs
-    # one byte per coordinate
+def test_record_guards_hold_on_the_key():
+    # record takes a key and a carried height, as pingpong's walk checks
+    # them for its images; rank 3 at cap 5 packs one byte per coordinate
     table = RootTable(build(HYP3D), 5)
     codec = table.codec
     rec = RootRecord(1, 1, 1, 2)
@@ -423,8 +423,8 @@ def test_record_key_guards_hold_on_the_key():
                    (key + codec.limit, 1),   # a field above the box
                    (-key, 1), (0, 0)):
         with pytest.raises(ValueError, match="not positive within cap"):
-            table.record_key(bad, h, rec)
-    table.record_key(key, 1, rec)
+            table.record(bad, h, rec)
+    table.record(key, 1, rec)
     assert table.get((1, 0, 0)) is rec
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from rootmult import RootTable, build, reflect
 from rootmult.lattice import height
 from rootmult.metrics import PHASE_PINGPONG
-from rootmult.peterson import compute_all
+from rootmult.peterson import RootRecord, compute_all, pingpong
 from helpers import (
     A2, AFFINE_A1, HYP3, AFFINE_A2, HYP3D, brute_real_roots, record, reflect_walk,
     symmetrizable_gcms, walk_from,
@@ -94,6 +94,31 @@ def test_pingpong_conflict_is_an_assertion_error():
     record(table, (1, 2), 1, 2)
     with pytest.raises(AssertionError, match="conflicting values"):
         walk_from(table, (1, 0))
+
+
+def test_pingpong_checks_g_on_each_new_image():
+    # The walk stores its images itself; a seed whose record carries the
+    # wrong g must still stop it at its first new image, (1, 1), with the
+    # error record raises.
+    cm = build(A2)
+    table = RootTable(cm, 3)
+    key = table.codec.encode((1, 0))
+    table.levels[1][key] = RootRecord(2, 2, 1, 2)
+    with pytest.raises(ValueError, match=r"cannot record \(1, 1\) with g = 2"):
+        pingpong(table, (1, 0), key, 1)
+    assert len(table) == 1
+
+
+def test_pingpong_refuses_an_image_of_a_frozen_height():
+    # Once the scaled reals of heights 1..2 are built, no vector of those
+    # heights may be recorded, also not by a walk.
+    cm = build(A2)
+    table = RootTable(cm, 3)
+    key = record(table, (1, 0))
+    table.build_multiples(2)
+    with pytest.raises(ValueError, match=r"cannot record \(1, 1\): height 2 is frozen"):
+        pingpong(table, (1, 0), key, 1)
+    assert len(table) == 1
 
 
 def test_pingpong_requires_recorded_seed():
