@@ -56,14 +56,14 @@ chamber_points yields, and hands them to peterson_c, mobius_mult,
 RootTable.record (whose guards still check key, height and g) and
 pingpong.  Export splits each key into its high ceil(d/2) fields and its
 low floor(d/2) fields and formats each distinct half once per export.
-The Peterson sum is one pass per chamber point over the
-candidate buckets of heights 1..top/2, each entry (key, g, gc, norm) of a
-vector with c != 0, roots then scaled reals, built as its height freezes.
-Each entry u is decided by one lookup of its partner key key(beta) -
-key(u) in the roots, then the scaled reals, of the partner's height: the
-lookup misses every u not <= beta, whose partner key is the key of no
-vector; in the bucket of height top/2 only the entries with u <= v in key
-order are looked up, so every unordered pair {u, v} is visited once.
+The Peterson sum is one pass per chamber point over the candidate
+buckets of heights h = 1..top/2, built as h freezes: entries (key, a,
+norm), c = a/h != 0 (g | h, so a = gc h/g is an integer), roots then
+scaled reals.  Each entry u is decided by one lookup of its partner key
+key(beta) - key(u) in the roots, then the scaled reals, of the partner's
+height: it misses every u not <= beta, whose partner key is the key of no
+vector.  Each bucket sums into one integer over h (top - h); the bucket of
+height top/2, scanned in full, over 2 h^2.
 
 pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
 member of its orbit, it takes only the reflections that raise the height,
@@ -225,10 +225,10 @@ class RootTable:
     reads may add an empty level in 1..cap, which exports nothing);
     read-only once compute_all returns.  multiples[h - 1] maps the key of
     each scaled real of height h to its record; a height whose scaled reals
-    are built is frozen and takes no further records.  buckets[h - 1], for
-    each frozen height h with 2h <= cap, lists the entries of both that the
-    Peterson sum scans, built in the same step as the scaled reals, so it
-    is final.
+    are built is frozen and takes no further records.  Built in the same
+    step, so final: lookups[h - 1], the gets of both for a partner of
+    height h, and buckets[h - 1] (2h <= cap), the entries the Peterson sum
+    scans.  scales caches that sum's denominators for one height.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -241,7 +241,9 @@ class RootTable:
         self.columns = tuple(zip(*cm.a))  # pingpong's update of p = A beta
         self.levels: defaultdict[int, dict[int, RootRecord]] = defaultdict(dict)
         self.multiples: list[dict[int, RootRecord]] = []  # height h at h - 1
+        self.lookups: list[tuple] = []  # the gets of height h at h - 1
         self.buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
+        self.scales = 0, 1, []  # (top, common, multipliers)
 
     def key(self, beta: Vec) -> int | None:
         """beta's key, or None unless beta has d coordinates in 0..cap.
@@ -306,21 +308,26 @@ class RootTable:
         """Build the scaled reals of every height up to h not built yet,
         which freezes those heights: at height b, n key(r) -> the record
         (n, 1, 0, n^2 (r, r)) for each recorded real root r (norm > 0) and
-        n >= 2 with n ht(r) = b.  A frozen height b with 2b <= cap also
-        gets its Peterson candidate bucket, buckets[b - 1]: one entry (key,
-        g, gc, norm) per vector of height b with c != 0, the roots, then
-        the scaled reals.  Adds no level."""
-        levels, multiples, buckets = self.levels, self.multiples, self.buckets
+        n >= 2 with n ht(r) = b.  A frozen height b gets lookups[b - 1],
+        the gets of its roots (of a fresh dict if it has none: b takes no
+        records) and scaled reals, and if 2b <= cap its Peterson candidate
+        bucket buckets[b - 1]: one entry (key, a = gc b/g, norm) per vector
+        of height b with c = a/b != 0, the roots, then the scaled reals.
+        Adds no level."""
+        levels, multiples = self.levels, self.multiples
         while len(multiples) < h:
             b = len(multiples) + 1
-            multiples.append({
+            level = levels.get(b, {})
+            scaled = {
                 n * k: RootRecord(n, 1, 0, n * n * rec.norm)
                 for n in range(2, b + 1) if b % n == 0
                 for k, rec in levels.get(b // n, {}).items() if rec.norm > 0
-            })
+            }
+            multiples.append(scaled)
+            self.lookups.append((level.get, scaled.get))
             if 2 * b <= self.cap:
-                buckets.append([(k, rec.g, rec.gc, rec.norm) for level in (
-                    levels.get(b, {}), multiples[-1]) for k, rec in level.items()])
+                self.buckets.append([(k, rec.gc * (b // rec.g), rec.norm)
+                                     for src in (level, scaled) for k, rec in src.items()])
 
     def nonzero(self, key: int, h: int) -> RootRecord | None:
         """The record of the vector of key, of height h >= 1, if its c is
@@ -510,46 +517,54 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
 
     Chamber points are minimal in height within their orbit and walks only
     raise the height, so once beta is reached every height below top is
-    final, and the sum builds the scaled reals, and with them the
-    buckets, up to top - 1.  Every entry u of the buckets of height <=
-    top/2 is scanned, and one lookup of kv = key - ku, in the roots and
-    then the scaled reals of height top - h, decides it.  The lookup
-    misses every u not <= beta: kv is then negative (u_0 > beta_0), or
-    the lowest field with u_i > beta_i wraps to at least 2^(8w - 1) and
+    final, and the sum builds the scaled reals, and with them the buckets
+    and partner lookups, up to top - 1.  Every entry u of the buckets of
+    height h <= top/2 is scanned, and one lookup of kv = key - ku, in the
+    roots and then the scaled reals of height top - h, decides it.  The
+    lookup misses every u not <= beta: kv is then negative (u_0 > beta_0),
+    or the lowest field with u_i > beta_i wraps to at least 2^(8w - 1) and
     sets its guard bit; record refuses a key with a guard bit set, and a
-    scaled real has none, its coordinates being at most the cap.  At h =
-    top/2 an entry is also skipped when ku > key - ku, so each unordered
-    pair {u, v} is visited once, from u <= v.  A pair
-    adds 2 (u, v) c(u) c(v), half that if u = v (beta = 2u), with c = gc/g
-    and 2 (u, v) = (beta, beta) - (u, u) - (v, v) from stored norms: an
-    integer numerator under the denominator g_u * g_v, the few
-    denominators combined once at the end.  The cost model still charges
-    one form per pair, in one bulk tick with the denominator's (beta, beta).
+    scaled real has none, its coordinates being at most the cap.  A pair
+    adds 2 (u, v) c(u) c(v) = (norm - norm_u - norm_v) a_u a_v / (h hv),
+    hv = top - h and a_v = gc_v hv / g_v, to its bucket's one integer.  At
+    h = top/2 the full scan meets u = v (beta = 2u) once and each other
+    pair twice: the denominator 2 h^2 halves it, and ceil(hits / 2) pairs
+    are counted.  The buckets meet over their height's common denominator,
+    found with each bucket's multiplier at its first point, kept in
+    table.scales.  The cost model still charges one form per pair.
     """
     denom = norm - rho_pair(table.cm, beta)
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
     table.build_multiples(top - 1)
-    levels, multiples = table.levels, table.multiples
-    by_den: defaultdict[int, int] = defaultdict(int)
-    forms = 1  # (beta, beta)
-    for h, bucket in enumerate(table.buckets[:top // 2], 1):
-        middle = 2 * h == top
-        get, scaled = levels[top - h].get, multiples[top - h - 1].get  # at v's height
-        for ku, g_u, gc_u, norm_u in bucket:
+    lookups = table.lookups
+    last, common, scales = table.scales
+    if last != top:
+        dens = [h * (top - h) for h in range(1, (top + 1) // 2)]
+        if not top & 1:
+            dens.append(top * top >> 1)  # the middle bucket's 2 (top/2)^2
+        common = lcm(*dens)
+        scales = [common // den for den in dens]
+        table.scales = top, common, scales
+    num, forms = 0, 1  # (beta, beta)
+    for h, (bucket, scale) in enumerate(zip(table.buckets, scales), 1):
+        hv = top - h
+        get, scaled = lookups[hv - 1]  # at v's height
+        acc = misses = 0
+        for ku, a_u, norm_u in bucket:
             kv = key - ku
-            if middle and ku > kv:
-                continue
             rec = get(kv) or scaled(kv)
             if rec is None:
+                misses += 1
                 continue
             g_v, gc_v, _, norm_v = rec
-            forms += 1
-            term = gc_u * gc_v * (norm - norm_u - norm_v)
-            by_den[g_u * g_v] += term if ku != kv else term >> 1
+            acc += a_u * gc_v * (hv // g_v) * (norm - norm_u - norm_v)
+        num += acc * scale
+        forms += len(bucket) - misses
+    if not top & 1:  # the middle bucket, last: it met u = v once, other pairs twice
+        forms -= (len(bucket) - misses) >> 1
     table.counter.tick(PHASE_SUM, forms)
-    common = lcm(*by_den)
-    return sum(num * (common // den) for den, num in by_den.items()), common * denom
+    return num, common * denom
 
 
 def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:

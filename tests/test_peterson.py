@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rootmult import (
     HeightExceedsCap,
@@ -34,7 +34,7 @@ from rootmult.peterson import (
 )
 from rootmult.metrics import PHASE_SUM
 from helpers import (
-    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, record, symmetrizable_gcms,
+    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, record, symmetrizable_gcms,
 )
 
 
@@ -141,14 +141,20 @@ def test_record_below_a_frozen_height_raises():
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(grid=symmetrizable_gcms(), cap=st.integers(1, 12))
+# The middle bucket (2h = top) counts ceil(hits / 2) pairs, whether or not
+# u = v = beta/2 is one: HYP3D's (1, 1, 2) has an even key but no half,
+# its (0, 2, 2) the half (0, 1, 1); AFFINE_A1's (4, 4) pairs the scaled
+# reals (4, 0) and (0, 4) and has the half (2, 2).
+@example(grid=HYP3D, cap=6)
+@example(grid=AFFINE_A1, cap=8)
 def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
     # At every chamber point: the value against the recurrence summed over
-    # all of subroots(beta), the form count against the pairs the one-pass
-    # sum should visit (u below half the height, or at half with u <= v);
-    # then the scaled reals of each built height against a scan of the
-    # recorded real roots, and each candidate bucket against the roots and
-    # scaled reals of its height, built for the frozen heights b with
-    # 2b <= cap only.
+    # all of subroots(beta), the form count against the unordered pairs
+    # {u, v} (u below half the height, or at half with u <= v); then the
+    # scaled reals of each built height against a scan of the recorded
+    # real roots, and each candidate bucket against the roots and scaled
+    # reals of its height, built for the frozen heights b with 2b <= cap
+    # only, each entry (key, a, norm) with c = a/b.
     cm = build(grid)
     table = compute_all(cm, cap)
     for beta in chamber_points(cm, cap):
@@ -178,7 +184,32 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
     assert len(table.buckets) == min(len(table.multiples), cap // 2)
     for b, bucket in enumerate(table.buckets, 1):
         level = {**table.levels.get(b, {}), **table.multiples[b - 1]}
-        assert bucket == [(k, rec.g, rec.gc, rec.norm) for k, rec in level.items()]
+        assert bucket == [(k, rec.gc * (b // rec.g), rec.norm) for k, rec in level.items()]
+
+
+@pytest.mark.parametrize("grid,cap,empty", [
+    (A2, 6, [3, 4, 5, 6]),
+    (AFFINE_A1, 8, []),
+])
+def test_frozen_heights_bind_their_partner_lookups(grid, cap, empty):
+    # Freezing height b binds the lookups the Peterson sum asks for a
+    # partner of height b; an empty height gets those of a fresh dict, so
+    # they must still answer for it, and freezing adds no level.
+    table = compute_all(build(grid), cap)
+    before = set(table.levels)
+    table.build_multiples(cap)
+    assert set(table.levels) == before
+    assert [b for b in range(1, cap + 1) if not table.levels.get(b)] == empty
+    assert len(table.lookups) == cap
+    for v in box_points(table.cm.d, cap):
+        key = table.key(v)
+        for b, (roots_get, scaled_get) in enumerate(table.lookups, 1):
+            assert roots_get(key) is table.levels.get(b, {}).get(key)
+            assert scaled_get(key) is table.multiples[b - 1].get(key)
+    for b, bucket in enumerate(table.buckets, 1):
+        for key, a, norm in bucket:
+            rec = table.levels.get(b, {}).get(key) or table.multiples[b - 1][key]
+            assert a * rec.g == rec.gc * b and norm == rec.norm
 
 
 # hyp-2-3 sums only at beta_0 <= beta_1 (the first point of each orbit
