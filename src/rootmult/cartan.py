@@ -7,7 +7,8 @@ scale, and every quantity computed downstream (c-values, multiplicities,
 chamber membership) is invariant under that scale.  The chamber's algebra
 on blocks of S stays in integers too: a fraction-free elimination whose
 intermediate entries are minors, so each of its divisions is exact.  The
-symmetrizer is canonicalized to coprime positive integers so output is
+symmetrizer is propagated in integers along each component of the Dynkin
+graph and canonicalized to coprime positive integers so output is
 reproducible.  killing (the form) and reflect (a fundamental reflection)
 are pure functions on tuples, which the tests use as arbiters for the
 engine's packed-key arithmetic.
@@ -15,7 +16,7 @@ engine's packed-key arithmetic.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -54,9 +55,11 @@ def build(entries) -> CartanMatrix:
     """Validate a square integer grid as a symmetrizable GCM.
 
     Returns the matrix together with its minimal integer symmetrizer,
-    found by propagating d_j = d_i * a_ij / a_ji over each Dynkin-graph
-    component, each ratio a reduced integer pair (numerator, denominator),
-    and clearing denominators: multiplying by their lcm.
+    found by propagating d_j = d_i * a_ij / a_ji in integers over each
+    Dynkin-graph component from d = 1 at its first node: a quotient that is
+    not whole scales every value of the component assigned so far, and the
+    component is divided by its gcd at the end.  Every edge that reaches
+    an assigned node is checked there, so S = diag(d_i) * A is symmetric.
 
     Raises NotGCM on an axiom violation, NotSymmetrizable if the ratio
     constraints conflict around a cycle, ValueError on a malformed grid.
@@ -84,48 +87,34 @@ def build(entries) -> CartanMatrix:
             if (a[i][j] == 0) != (a[j][i] == 0):
                 raise NotGCM(f"zero pattern asymmetric at ({i},{j})")
 
-    # Propagate the ratios d_k / d_start over each connected component, as
-    # reduced integer pairs (num, den), so equal ratios are equal pairs.
-    ratios: list[tuple[int, int] | None] = [None] * d
+    # Propagate d_j = d_i a_ij / a_ji in integers over each component: a
+    # quotient that is not whole scales the values assigned so far.
     sym = [0] * d
     for start in range(d):
-        if ratios[start] is not None:
+        if sym[start]:
             continue
-        component = [start]
-        ratios[start] = (1, 1)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            num_i, den_i = ratios[i]
+        component, sym[start] = [start], 1
+        for i in component:  # grows while it is read
             for j in range(d):
                 if j == i or a[i][j] == 0:
                     continue
-                num, den = -num_i * a[i][j], -den_i * a[j][i]  # a_ij, a_ji < 0
-                g = gcd(num, den)
-                want = (num // g, den // g)
-                if ratios[j] is None:
-                    ratios[j] = want
+                num, den = -sym[i] * a[i][j], -a[j][i]  # a_ij, a_ji < 0
+                if not sym[j]:
+                    scale = den // gcd(num, den)  # 1 when den divides num
+                    for k in component:
+                        sym[k] *= scale
+                    sym[j] = num * scale // den
                     component.append(j)
-                    queue.append(j)
-                elif ratios[j] != want:
+                elif sym[j] * den != num:
                     raise NotSymmetrizable(
                         f"inconsistent symmetrizer ratio around a cycle at ({i},{j})"
                     )
-        # Clearing denominators gives the smallest positive integers that
-        # realize the ratios: the start gets their lcm L, and for each prime
-        # power p^e exactly dividing L, a node whose reduced denominator
-        # carries p^e gets a value prime to p.
-        scale = lcm(*(ratios[k][1] for k in component))
+        g = gcd(*(sym[k] for k in component))
         for k in component:
-            num, den = ratios[k]
-            sym[k] = num * (scale // den)
+            sym[k] //= g
 
     sym = tuple(sym)
     s = tuple(tuple(sym[i] * a[i][j] for j in range(d)) for i in range(d))
-    for i in range(d):
-        for j in range(d):
-            if s[i][j] != s[j][i]:
-                raise NotSymmetrizable(f"symmetrization failed at ({i},{j})")
     return CartanMatrix(d=d, a=a, sym=sym, s=s)
 
 

@@ -49,12 +49,11 @@ every reader passes the height it knows; the levels, candidate buckets
 and walk hold keys.  Tuples appear only at the API edge: RootTable.key
 checks a tuple's length and range before encoding it (so nothing outside
 the box lands on another vector's key), and get, in, entries, roots,
-export_rows, lines_by_height, c_value and query_mult decode or encode
-there, and add no level.  compute_all derives each chamber point's key,
-height, g = gcd(beta) and norm (beta, beta) once, from the tuple that
-chamber_points yields, and hands them to peterson_c, mobius_mult,
-RootTable.record (whose guards still check key, height and g) and
-pingpong.  Export splits each key into its high ceil(d/2) fields and its
+lines_by_height, c_value and query_mult decode or encode there, and add
+no level.  compute_all derives each chamber point's key, height, g =
+gcd(beta) and norm (beta, beta) once, from the tuple that chamber_points
+yields, and hands them to peterson_c, mobius_mult, RootTable.record
+(whose guards still check key, height and g) and pingpong.  Export splits each key into its high ceil(d/2) fields and its
 low floor(d/2) fields and formats each distinct half once per export.
 The Peterson sum is one pass per chamber point over the candidate
 buckets of heights h = 1..top/2, built as h freezes: entries (key, a,
@@ -63,7 +62,9 @@ scaled reals.  Each entry u is decided by one lookup of its partner key
 key(beta) - key(u) in the roots, then the scaled reals, of the partner's
 height: it misses every u not <= beta, whose partner key is the key of no
 vector.  Each bucket sums into one integer over h (top - h); the bucket of
-height top/2, scanned in full, over 2 h^2.
+height top/2, scanned in full, over 2 h^2.  Those denominators depend on
+top alone, so their common multiple and each bucket's multiplier come
+from _scales(top), which caches the last height's.
 
 pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
 member of its orbit, it takes only the reflections that raise the height,
@@ -120,6 +121,7 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict, deque
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
@@ -228,7 +230,7 @@ class RootTable:
     are built is frozen and takes no further records.  Built in the same
     step, so final: lookups[h - 1], the gets of both for a partner of
     height h, and buckets[h - 1] (2h <= cap), the entries the Peterson sum
-    scans.  scales caches that sum's denominators for one height.
+    scans.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -243,7 +245,6 @@ class RootTable:
         self.multiples: list[dict[int, RootRecord]] = []  # height h at h - 1
         self.lookups: list[tuple] = []  # the gets of height h at h - 1
         self.buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
-        self.scales = 0, 1, []  # (top, common, multipliers)
 
     def key(self, beta: Vec) -> int | None:
         """beta's key, or None unless beta has d coordinates in 0..cap.
@@ -338,31 +339,16 @@ class RootTable:
 
     def roots(self) -> list[Vec]:
         """All recorded vectors with positive multiplicity, (height, lex)."""
-        return [row["coords"] for row in self.export_rows() if row["mult"] > 0]
-
-    def export_rows(self):
-        """One row per recorded vector: coords, height, norm, c, mult, kind.
-
-        Sorted by (height, lex).  Norms come from the records, so exporting
-        evaluates no form and never perturbs the cost measurement.
-        """
         decode = self.codec.decode
-        for h, level in sorted(self.levels.items()):
-            for k, rec in sorted(level.items()):
-                g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
-                yield {
-                    "coords": decode(k),
-                    "height": h,
-                    "norm": rec.norm,
-                    "c": f"{rec.gc // g}/{rec.g // g}",
-                    "mult": rec.mult,
-                    "kind": rec.kind,
-                }
+        return [decode(k) for _, level in sorted(self.levels.items())
+                for k, rec in sorted(level.items()) if rec.mult > 0]
 
     def lines_by_height(self, fmt: str):
-        """export_rows as CSV lines (no header) if fmt is "csv", else as
-        JSON lines with sorted keys, one str per height in (height, lex)
-        order.  A record's text around the coordinates and height is
+        """One row per recorded vector (coords, height, norm, c in lowest
+        terms, mult, kind), as CSV lines (no header) if fmt is "csv", else
+        as JSON lines with sorted keys, one str per height in (height, lex)
+        order.  Norms come from the records, so exporting evaluates no
+        form.  A record's text around the coordinates and height is
         formatted once, and each height builds one line template per record
         present.  The coordinates come from two halves of the key, its high
         ceil(d/2) fields (key >> shift) and its low floor(d/2) fields (key &
@@ -530,22 +516,15 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
     h = top/2 the full scan meets u = v (beta = 2u) once and each other
     pair twice: the denominator 2 h^2 halves it, and ceil(hits / 2) pairs
     are counted.  The buckets meet over their height's common denominator,
-    found with each bucket's multiplier at its first point, kept in
-    table.scales.  The cost model still charges one form per pair.
+    which _scales(top) gives with each bucket's multiplier.  The cost model
+    still charges one form per pair.
     """
     denom = norm - rho_pair(table.cm, beta)
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
     table.build_multiples(top - 1)
     lookups = table.lookups
-    last, common, scales = table.scales
-    if last != top:
-        dens = [h * (top - h) for h in range(1, (top + 1) // 2)]
-        if not top & 1:
-            dens.append(top * top >> 1)  # the middle bucket's 2 (top/2)^2
-        common = lcm(*dens)
-        scales = [common // den for den in dens]
-        table.scales = top, common, scales
+    common, scales = _scales(top)
     num, forms = 0, 1  # (beta, beta)
     for h, (bucket, scale) in enumerate(zip(table.buckets, scales), 1):
         hv = top - h
@@ -565,6 +544,18 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
         forms -= (len(bucket) - misses) >> 1
     table.counter.tick(PHASE_SUM, forms)
     return num, common * denom
+
+
+@lru_cache(maxsize=1)  # chamber points arrive in height order
+def _scales(top: int) -> tuple[int, tuple[int, ...]]:
+    """The common denominator of the Peterson sum's buckets at height top,
+    h (top - h) for h < top/2 and 2 (top/2)^2 for the middle bucket, with
+    each bucket's multiplier, common // its denominator, in height order."""
+    dens = [h * (top - h) for h in range(1, (top + 1) // 2)]
+    if not top & 1:
+        dens.append(top * top >> 1)  # the middle bucket's 2 (top/2)^2
+    common = lcm(*dens)
+    return common, tuple([common // den for den in dens])
 
 
 def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:

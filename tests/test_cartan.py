@@ -40,6 +40,13 @@ def test_nonsymmetric_symmetrizer():
     assert cm.s == ((6, -3), (-3, 2))
 
 
+def test_symmetrizer_rescales_its_component_in_integers():
+    # From d_0 = 1: d_1 = 1/2 scales the component by 2, then d_2 = 1/3
+    # scales it by 3.
+    grid = [[2, -1, 0], [-2, 2, -1], [0, -3, 2]]
+    assert build(grid).sym == (6, 3, 1) == fraction_symmetrizer(grid)
+
+
 def test_symmetrizer_is_coprime_per_build():
     cm = build([[2, -2], [-1, 2]])
     assert cm.sym == (1, 2)

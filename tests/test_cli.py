@@ -188,11 +188,19 @@ def test_chamber_mix_class_csv_and_forms_are_pinned(tmp_path, grid, digest, ping
     assert counter.by_phase() == {PHASE_PINGPONG: pingpong, PHASE_SUM: peterson_sum}
 
 
+def reference_rows(table):
+    """One dict per recorded vector in (height, lex) order, from entries
+    and RootRecord.c alone: they share no formatting code with the writer."""
+    for v, rec in sorted(table.entries.items(), key=lambda item: (sum(item[0]), item[0])):
+        c = rec.c
+        yield {"coords": list(v), "height": sum(v), "norm": rec.norm,
+               "c": f"{c.numerator}/{c.denominator}", "mult": rec.mult, "kind": rec.kind}
+
+
 def reference_csv(table):
-    """The CSV text formatted row by row from export_rows, as the CSV
-    writer did before it wrote from keys: the arbiter of that writer."""
+    """The CSV text formatted row by row: the arbiter of the writer."""
     lines = ["coords,height,norm,c,mult,kind\n"]
-    for row in table.export_rows():
+    for row in reference_rows(table):
         coords = ";".join(str(x) for x in row["coords"])
         lines.append(f"{coords},{row['height']},{row['norm']},{row['c']},"
                      f"{row['mult']},{row['kind']}\n")
@@ -200,10 +208,9 @@ def reference_csv(table):
 
 
 def reference_json(table):
-    """The JSON lines formatted row by row from export_rows, as the JSON
-    writer did before it shared the CSV writer's templates."""
-    return "".join(json.dumps(dict(row, coords=list(row["coords"])), sort_keys=True) + "\n"
-                   for row in table.export_rows())
+    """The JSON lines of json.dumps with sorted keys, one per row: the
+    arbiter of the writer's JSON templates."""
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in reference_rows(table))
 
 
 def written(table, fmt="csv"):

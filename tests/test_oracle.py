@@ -77,9 +77,13 @@ def test_oracle_counter_below_closed_form(grid, cap):
 def test_oracle_export_matches_engine_export():
     # same schema, same rows: the exports can be diffed file-to-file
     cm = build(AFFINE_A1)
-    engine_rows = list(compute_all(cm, 6).export_rows())
-    oracle_rows = list(naive_compute(cm, 6).export_rows())
-    assert engine_rows == oracle_rows
+    engine_text = "".join(compute_all(cm, 6).lines_by_height("csv"))
+    oracle_text = "".join(
+        f"{';'.join(map(str, row['coords']))},{row['height']},{row['norm']},{row['c']},"
+        f"{row['mult']},{row['kind']}\n"
+        for row in naive_compute(cm, 6).export_rows()
+    )
+    assert engine_text == oracle_text != ""
 
 
 def test_oracle_counts_only_oracle_phase():

@@ -1,5 +1,7 @@
 import re
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -112,8 +114,6 @@ def test_records_hold_integer_gc_and_orbit_invariants():
             assert rec.g == coord_gcd(v)
             assert rec.c == Fraction(rec.gc, rec.g) == c_value(table, v)
             assert rec.norm == killing(cm, v, v)
-        for row in table.export_rows():
-            assert row["norm"] == killing(cm, row["coords"], row["coords"])
     with pytest.raises(AttributeError):
         rec.mult = 2   # immutable: one record is shared by a whole orbit
 
@@ -242,6 +242,27 @@ def test_entries_not_below_beta_miss_the_lookup(monkeypatch, grid, cap, kinds):
     monkeypatch.setattr("rootmult.peterson.peterson_c", checked)
     compute_all(build(grid), cap)
     assert {kind for kind, n in rejected.items() if n} == kinds, rejected
+
+
+def test_peterson_c_out_of_order_matches_in_order():
+    # The sum's denominators are cached for the last height only: calls in
+    # descending height, alternating between two tables, must still give
+    # each point the integer fraction of an in-order call.
+    calls = []
+    for grid in (HYP3, AFFINE_A1):
+        cm = build(grid)
+        table = compute_all(cm, 40)
+        points = []
+        for beta in chamber_points(cm, 40):
+            args = (table, beta, table.key(beta), height(beta), killing(cm, beta, beta))
+            value = peterson_c(*args)
+            assert Fraction(*value) == c_value(table, beta)
+            points.append((args, value))
+        calls.append(points[::-1])
+    assert all(len(points) > 10 for points in calls)
+    for points in zip_longest(*calls):
+        for args, value in filter(None, points):
+            assert peterson_c(*args) == value
 
 
 def test_c_value_covers_scaled_reals_without_storing():
@@ -530,14 +551,13 @@ def test_c_value_above_the_cap_raises():
     assert c_value(table, (-3, 3)) == c_value(table, (-6, 0)) == c_value(table, (0, 0)) == 0
 
 
-def test_export_rows_sorted_and_schema():
+def test_csv_lines_sorted_and_schema():
     table = compute_all(build(AFFINE_A1), 5)
-    rows = list(table.export_rows())
-    keys = [(r["height"], r["coords"]) for r in rows]
-    assert keys == sorted(keys)
-    assert set(rows[0]) == {"coords", "height", "norm", "c", "mult", "kind"}
-    null = next(r for r in rows if r["coords"] == (1, 1))
-    assert null["norm"] == 0 and null["c"] == "1/1" and null["kind"] == "imaginary"
+    rows = [line.split(",") for line in "".join(table.lines_by_height("csv")).splitlines()]
+    assert all(len(row) == 6 for row in rows)
+    keys = [(int(row[1]), tuple(map(int, row[0].split(";")))) for row in rows]
+    assert keys == sorted(keys) and len(keys) == len(table)
+    assert ["1;1", "2", "0", "1/1", "1", "imaginary"] in rows
 
 
 def test_ha1_level_one_multiplicities_are_partition_numbers():
@@ -573,3 +593,57 @@ def test_e10_level_one_multiplicities_are_eight_colour_partitions():
     assert p8 == [1, 8, 44]
     assert len(level_one) == 6322
     assert [table.get(v).mult for v in level_one] == [p8[n] for n in depths]
+
+
+# The non-symmetric affine types of Kac (Infinite-dimensional Lie
+# algebras, Tables Aff 1-3), a_ij = <alpha_i^vee, alpha_j>, each with its
+# labels delta, r (1 for X_l^(1)) and N (of X_N^(r); unused at r = 1).
+# The twisted matrices are the transposes of the untwisted ones whose
+# dual labels they carry, except A_2l^(2).
+NONSYMMETRIC_AFFINE = {
+    "B3^(1)": ([[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -2, 2]],
+               (1, 1, 2, 2), 1, 3),
+    "B4^(1)": ([[2, 0, -1, 0, 0], [0, 2, -1, 0, 0], [-1, -1, 2, -1, 0],
+                [0, 0, -1, 2, -1], [0, 0, 0, -2, 2]], (1, 1, 2, 2, 2), 1, 4),
+    "C3^(1)": ([[2, -1, 0, 0], [-2, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+               (1, 2, 2, 1), 1, 3),
+    "C4^(1)": ([[2, -1, 0, 0, 0], [-2, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+                [0, 0, -1, 2, -2], [0, 0, 0, -1, 2]], (1, 2, 2, 2, 1), 1, 4),
+    "F4^(1)": ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+                [0, 0, -2, 2, -1], [0, 0, 0, -1, 2]], (1, 2, 3, 4, 2), 1, 4),
+    "G2^(1)": ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], (1, 2, 3), 1, 2),
+    "A2^(2)": ([[2, -4], [-1, 2]], (2, 1), 2, 2),
+    "A4^(2)": ([[2, -2, 0], [-1, 2, -2], [0, -1, 2]], (2, 2, 1), 2, 4),
+    "A5^(2)": ([[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -2], [0, 0, -1, 2]],
+               (1, 1, 2, 1), 2, 5),
+    "A7^(2)": ([[2, 0, -1, 0, 0], [0, 2, -1, 0, 0], [-1, -1, 2, -1, 0],
+                [0, 0, -1, 2, -2], [0, 0, 0, -1, 2]], (1, 1, 2, 2, 1), 2, 7),
+    "D3^(2)": ([[2, -2, 0], [-1, 2, -1], [0, -2, 2]], (1, 1, 1), 2, 3),
+    "D5^(2)": ([[2, -2, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+                [0, 0, -1, 2, -1], [0, 0, 0, -2, 2]], (1, 1, 1, 1, 1), 2, 5),
+    "E6^(2)": ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -2, 0],
+                [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]], (1, 2, 3, 2, 1), 2, 6),
+    "D4^(3)": ([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], (1, 2, 1), 3, 4),
+}
+
+
+@pytest.mark.parametrize("grid,delta,r,n", NONSYMMETRIC_AFFINE.values(),
+                         ids=NONSYMMETRIC_AFFINE.keys())
+def test_nonsymmetric_affine_multiplicities_match_kac(grid, delta, r, n):
+    # Kac, Cor. 8.3: mult(j delta) = l for X_l^(1); for X_N^(r), r = 2, 3,
+    # it is l if r | j and (N - l)/(r - 1) otherwise.  Every other root is
+    # real: multiplicity 1 and positive norm.  A delta = 0 comes first, so
+    # a transposed matrix fails as the wrong input.
+    assert all(sum(map(mul, row, delta)) == 0 for row in grid)
+    cm, ell = build(grid), len(grid) - 1
+    cap = 12 * sum(delta)
+    table = compute_all(cm, cap)
+    imaginary = {tuple(j * x for x in delta): j for j in range(1, 13)}
+    for v, rec in table.entries.items():
+        j = imaginary.pop(v, None)
+        if j is None:
+            assert rec.mult == 1 and rec.norm > 0, v
+        else:
+            assert rec.norm == 0, v
+            assert rec.mult == (ell if j % r == 0 else (n - ell) // (r - 1)), v
+    assert imaginary == {}
