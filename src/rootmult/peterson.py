@@ -44,9 +44,9 @@ G the mask of the guard bits:
   coordinates sum below 2^(8w) (no field of the product carries), which
   holds for every vector of the box with height <= cap.
 
-The table holds each recorded vector once, in the dict of its height, and
-every reader passes the height it knows; the levels, candidate buckets
-and walk hold keys.  Tuples appear only at the API edge: RootTable.key
+The table records each vector once, in the dict of its height, and every
+reader passes the height it knows; the levels, frozen dicts and walk hold
+keys.  Tuples appear only at the API edge: RootTable.key
 checks a tuple's length and range before encoding it (so nothing outside
 the box lands on another vector's key), and get, in, entries, roots,
 lines_by_height, c_value and query_mult decode or encode there, and add
@@ -55,15 +55,15 @@ gcd(beta) and norm (beta, beta) once, from the tuple that chamber_points
 yields, and hands them to peterson_c, mobius_mult, RootTable.record
 (whose guards still check key, height and g) and pingpong.  Export splits each key into its high ceil(d/2) fields and its
 low floor(d/2) fields and formats each distinct half once per export.
-The Peterson sum is one pass per chamber point over the candidate
-buckets of heights h = 1..top/2, built as h freezes: entries (key, a,
-norm), c = a/h != 0 (g | h, so a = gc h/g is an integer), roots then
-scaled reals.  Each entry u is decided by one lookup of its partner key
-key(beta) - key(u) in the roots, then the scaled reals, of the partner's
-height: it misses every u not <= beta, whose partner key is the key of no
-vector.  Each bucket sums into one integer over h (top - h); the bucket of
+A height h, once final, freezes into one dict, key -> (a, norm), of its
+vectors with c = a/h != 0 (g | h, so a = gc h/g is an integer): its roots,
+then its scaled reals.  The Peterson sum is one pass per chamber point
+over the frozen dicts of heights h = 1..top/2, each entry u decided by
+one lookup of its partner key key(beta) - key(u) in the frozen dict of
+the partner's height: it misses every u not <= beta, whose partner key is
+the key of no vector.  Each height sums into one integer over h (top - h);
 height top/2, scanned in full, over 2 h^2.  Those denominators depend on
-top alone, so their common multiple and each bucket's multiplier come
+top alone, so their common multiple and each height's multiplier come
 from _scales(top), which caches the last height's.
 
 pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
@@ -105,12 +105,13 @@ an integer, because c(beta) = sum_{n | g} m(beta/n)/n; compute_all checks
 that once per chamber point, right after the Peterson sum, and from there
 on the table takes only integers: a record stores gc beside g, the
 multiplicity and the norm (beta, beta), which also decides the kind (real
-iff positive); a scaled real n r has the record (n, 1, 0, n^2 (r, r)).
+iff positive); a frozen height stores (a, norm) = (gc h/g, (beta, beta))
+for a root and (ht(r), n^2 (r, r)) for a scaled real n r, whose c is 1/n.
 The Peterson sum takes each pair's form from stored norms, 2 (u, v) =
 (beta, beta) - (u, u) - (v, v), and still charges the cost model one form
 per pair.  The sum returns an integer fraction, and g*c is one divmod of
 g times its numerator by its denominator, the remainder checked.  The
-Moebius inversion reads c(beta/n) at key(beta) / n.  Fraction appears
+Moebius inversion reads a(beta/n) at key(beta) / n.  Fraction appears
 only in c_value and RootRecord.c, for readers, and in the three
 NonIntegerMultiplicity messages; each imports it where it is used, so a
 run that reads no c as a Fraction and raises none of them never loads
@@ -225,12 +226,11 @@ class RootTable:
     levels, its one store of records: height -> {key -> RootRecord}.
     Filled in by one run (pingpong and the driver write to it, and their
     reads may add an empty level in 1..cap, which exports nothing);
-    read-only once compute_all returns.  multiples[h - 1] maps the key of
-    each scaled real of height h to its record; a height whose scaled reals
-    are built is frozen and takes no further records.  Built in the same
-    step, so final: lookups[h - 1], the gets of both for a partner of
-    height h, and buckets[h - 1] (2h <= cap), the entries the Peterson sum
-    scans.
+    read-only once compute_all returns.  frozen[h - 1], built by freeze
+    once height h is final, maps the key of each vector of height h with a
+    nonzero c, its roots and scaled reals, to (a, norm) with c = a/h: the
+    one store the Peterson sum, the Moebius inversion and c_value read.
+    A frozen height takes no further records.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -242,9 +242,7 @@ class RootTable:
         self.codec = KeyCodec(cm.d, cap)
         self.columns = tuple(zip(*cm.a))  # pingpong's update of p = A beta
         self.levels: defaultdict[int, dict[int, RootRecord]] = defaultdict(dict)
-        self.multiples: list[dict[int, RootRecord]] = []  # height h at h - 1
-        self.lookups: list[tuple] = []  # the gets of height h at h - 1
-        self.buckets: list[list[tuple]] = []  # the bucket of height h at h - 1
+        self.frozen: list[dict[int, tuple[int, int]]] = []  # height h at h - 1
 
     def key(self, beta: Vec) -> int | None:
         """beta's key, or None unless beta has d coordinates in 0..cap.
@@ -296,46 +294,48 @@ class RootTable:
         level = self.levels[h]
         if key in level:
             raise ValueError(f"{beta} already recorded")
-        if h <= len(self.multiples):
+        if h <= len(self.frozen):
             raise ValueError(
                 f"cannot record {beta}: height {h} is frozen, the scaled "
-                f"reals up to height {len(self.multiples)} are already built"
+                f"reals up to height {len(self.frozen)} are already built"
             )
         if rec.g != gcd(*beta):
             raise ValueError(f"cannot record {beta} with g = {rec.g}")
         level[key] = rec
 
-    def build_multiples(self, h: int) -> None:
-        """Build the scaled reals of every height up to h not built yet,
-        which freezes those heights: at height b, n key(r) -> the record
-        (n, 1, 0, n^2 (r, r)) for each recorded real root r (norm > 0) and
-        n >= 2 with n ht(r) = b.  A frozen height b gets lookups[b - 1],
-        the gets of its roots (of a fresh dict if it has none: b takes no
-        records) and scaled reals, and if 2b <= cap its Peterson candidate
-        bucket buckets[b - 1]: one entry (key, a = gc b/g, norm) per vector
-        of height b with c = a/b != 0, the roots, then the scaled reals.
-        Adds no level."""
-        levels, multiples = self.levels, self.multiples
-        while len(multiples) < h:
-            b = len(multiples) + 1
-            level = levels.get(b, {})
-            scaled = {
-                n * k: RootRecord(n, 1, 0, n * n * rec.norm)
-                for n in range(2, b + 1) if b % n == 0
-                for k, rec in levels.get(b // n, {}).items() if rec.norm > 0
-            }
-            multiples.append(scaled)
-            self.lookups.append((level.get, scaled.get))
-            if 2 * b <= self.cap:
-                self.buckets.append([(k, rec.gc * (b // rec.g), rec.norm)
-                                     for src in (level, scaled) for k, rec in src.items()])
+    def freeze(self, h: int) -> None:
+        """Freeze every height up to h not frozen yet: height b takes no
+        further records and gets frozen[b - 1], key -> (a, norm) for each
+        vector of height b with c = a/b != 0.  First its roots, a = gc b/g
+        (g | b, so a is an integer); then its scaled reals n r, for each
+        recorded real root r (norm > 0) and n >= 2 with n ht(r) = b, which
+        take a = ht(r) (c = 1/n) and norm n^2 (r, r).  No multiple of a real
+        root is a root, so no key is both.  One (a, norm) tuple serves every
+        key of a record at b.  Adds no level."""
+        levels, frozen = self.levels, self.frozen
+        while len(frozen) < h:
+            b = len(frozen) + 1
+            entry, last = {}, None
+            for k, rec in levels.get(b, {}).items():
+                if rec is not last:  # a walk stores its orbit's keys together
+                    last, pair = rec, (rec.gc * (b // rec.g), rec.norm)
+                entry[k] = pair
+            for n in range(2, b + 1):
+                if b % n == 0:
+                    last = None
+                    for k, rec in levels.get(b // n, {}).items():
+                        if rec.norm > 0:
+                            if rec is not last:
+                                last, pair = rec, (b // n, n * n * rec.norm)
+                            entry[n * k] = pair
+            frozen.append(entry)
 
-    def nonzero(self, key: int, h: int) -> RootRecord | None:
-        """The record of the vector of key, of height h >= 1, if its c is
-        nonzero: a root's or a scaled real's; else None.  Builds the scaled
-        reals up to h, and adds no level."""
-        self.build_multiples(h)
-        return self.levels.get(h, {}).get(key) or self.multiples[h - 1].get(key)
+    def nonzero(self, key: int, h: int) -> tuple[int, int] | None:
+        """(a, norm) of the vector of key, of height h >= 1, if its c = a/h
+        is nonzero: a root's or a scaled real's; else None.  Freezes the
+        heights up to h, and adds no level."""
+        self.freeze(h)
+        return self.frozen[h - 1].get(key)
 
     def roots(self) -> list[Vec]:
         """All recorded vectors with positive multiplicity, (height, lex)."""
@@ -426,7 +426,7 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
                 f"pingpong seed {seed} is not the lowest member of its orbit: "
                 f"reflection {i} lowers it"
             )
-    levels, columns, frozen = table.levels, table.columns, len(table.multiples)
+    levels, columns, frozen = table.levels, table.columns, len(table.frozen)
     shifts, guard, limit, ones = codec.shifts, codec.guard, codec.limit, codec.ones
     top_shift, mask, size, unpack = codec.top_shift, codec.mask, codec.size, codec._struct.unpack
     g = record.g
@@ -470,14 +470,14 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
 
 
 def c_value(table: RootTable, gamma: Vec) -> Fraction:
-    """c(gamma), read from the roots and scaled reals of its height.
+    """c(gamma) = a/h, read from the frozen dict of its height h.
 
     A recorded root answers its c, a scaled real n r its c = 1/n, and
     everything else 0, as does a gamma with a negative coordinate and the
     zero vector.  A gamma of the wrong length raises ValueError and
     a non-negative gamma above the table's cap HeightExceedsCap, as in
     query_mult: the table cannot tell its c-value.  No form evaluations;
-    builds the scaled reals up to gamma's height, which freezes them.
+    freezes the heights up to gamma's.
     """
     from fractions import Fraction
 
@@ -487,8 +487,8 @@ def c_value(table: RootTable, gamma: Vec) -> Fraction:
         return Fraction(0)
     if height(gamma) > table.cap:
         raise HeightExceedsCap(f"height {height(gamma)} exceeds table cap {table.cap}")
-    rec = table.nonzero(table.key(gamma), height(gamma))
-    return rec.c if rec else Fraction(0)
+    pair = table.nonzero(table.key(gamma), height(gamma))
+    return Fraction(pair[0], height(gamma)) if pair else Fraction(0)
 
 
 def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tuple[int, int]:
@@ -503,57 +503,55 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
 
     Chamber points are minimal in height within their orbit and walks only
     raise the height, so once beta is reached every height below top is
-    final, and the sum builds the scaled reals, and with them the buckets
-    and partner lookups, up to top - 1.  Every entry u of the buckets of
-    height h <= top/2 is scanned, and one lookup of kv = key - ku, in the
-    roots and then the scaled reals of height top - h, decides it.  The
-    lookup misses every u not <= beta: kv is then negative (u_0 > beta_0),
-    or the lowest field with u_i > beta_i wraps to at least 2^(8w - 1) and
-    sets its guard bit; record refuses a key with a guard bit set, and a
-    scaled real has none, its coordinates being at most the cap.  A pair
-    adds 2 (u, v) c(u) c(v) = (norm - norm_u - norm_v) a_u a_v / (h hv),
-    hv = top - h and a_v = gc_v hv / g_v, to its bucket's one integer.  At
-    h = top/2 the full scan meets u = v (beta = 2u) once and each other
-    pair twice: the denominator 2 h^2 halves it, and ceil(hits / 2) pairs
-    are counted.  The buckets meet over their height's common denominator,
-    which _scales(top) gives with each bucket's multiplier.  The cost model
-    still charges one form per pair.
+    final, and the sum freezes the heights up to top - 1.  Every entry
+    u -> (a_u, norm_u) of frozen[h - 1], h <= top/2, is scanned, and one
+    lookup of kv = key - ku in frozen[top - h - 1] decides it.  The lookup
+    misses every u not <= beta: kv is then negative (u_0 > beta_0), or the
+    lowest field with u_i > beta_i wraps to at least 2^(8w - 1) and sets
+    its guard bit; record refuses a key with a guard bit set, and a scaled
+    real has none, its coordinates being at most the cap.  A hit (a_v,
+    norm_v) adds 2 (u, v) c(u) c(v) = (norm - norm_u - norm_v) a_u a_v /
+    (h (top - h)) to its height's one integer.  At h = top/2 the full scan
+    meets u = v (beta = 2u) once and each other pair twice: the
+    denominator 2 h^2 halves it, and ceil(hits / 2) pairs are counted.
+    The heights meet over their common denominator, which _scales(top)
+    gives with each height's multiplier.  The cost model still charges one
+    form per pair.
     """
     denom = norm - rho_pair(table.cm, beta)
     if denom == 0:
         raise ZeroDenominator(f"(beta, beta) = 2 (rho, beta) at {render(beta)}")
-    table.build_multiples(top - 1)
-    lookups = table.lookups
+    table.freeze(top - 1)
+    frozen = table.frozen
     common, scales = _scales(top)
     num, forms = 0, 1  # (beta, beta)
-    for h, (bucket, scale) in enumerate(zip(table.buckets, scales), 1):
-        hv = top - h
-        get, scaled = lookups[hv - 1]  # at v's height
+    for h, scale in enumerate(scales, 1):
+        us = frozen[h - 1]
+        get = frozen[top - h - 1].get  # at v's height
         acc = misses = 0
-        for ku, a_u, norm_u in bucket:
-            kv = key - ku
-            rec = get(kv) or scaled(kv)
-            if rec is None:
+        for ku, (a_u, norm_u) in us.items():
+            pair = get(key - ku)
+            if pair is None:
                 misses += 1
                 continue
-            g_v, gc_v, _, norm_v = rec
-            acc += a_u * gc_v * (hv // g_v) * (norm - norm_u - norm_v)
+            a_v, norm_v = pair
+            acc += a_u * a_v * (norm - norm_u - norm_v)
         num += acc * scale
-        forms += len(bucket) - misses
-    if not top & 1:  # the middle bucket, last: it met u = v once, other pairs twice
-        forms -= (len(bucket) - misses) >> 1
+        forms += len(us) - misses
+    if not top & 1:  # the middle height, last: it met u = v once, other pairs twice
+        forms -= (len(us) - misses) >> 1
     table.counter.tick(PHASE_SUM, forms)
     return num, common * denom
 
 
 @lru_cache(maxsize=1)  # chamber points arrive in height order
 def _scales(top: int) -> tuple[int, tuple[int, ...]]:
-    """The common denominator of the Peterson sum's buckets at height top,
-    h (top - h) for h < top/2 and 2 (top/2)^2 for the middle bucket, with
-    each bucket's multiplier, common // its denominator, in height order."""
+    """The common denominator of the Peterson sum's heights h at height
+    top, h (top - h) for h < top/2 and 2 (top/2)^2 for the middle height,
+    with each height's multiplier, common // its denominator, in order."""
     dens = [h * (top - h) for h in range(1, (top + 1) // 2)]
     if not top & 1:
-        dens.append(top * top >> 1)  # the middle bucket's 2 (top/2)^2
+        dens.append(top * top >> 1)  # the middle height's 2 (top/2)^2
     common = lcm(*dens)
     return common, tuple([common // den for den in dens])
 
@@ -564,28 +562,29 @@ def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
 
         m(beta) = sum_{n | g} mu(n)/n * c(beta/n),
 
-    and c(beta/n) = gc(beta/n) * n/g, so g * m(beta) = sum_{n | g} mu(n) gc(beta/n)
-    in integers, with gc = g * c(beta) given and the smaller terms read from
-    the table, at key / n.  Raises NonIntegerMultiplicity if the result is
-    not a non-negative integer, which would mean an upstream bug.
+    and c(beta/n) = a(beta/n) n/h with h = ht(beta), so h * m(beta) =
+    sum_{n | g} mu(n) a(beta/n) in integers, with a(beta) = gc h/g from the
+    given gc = g * c(beta) and the smaller terms read from the frozen dict
+    of height h/n, at key / n.  Raises NonIntegerMultiplicity if the result
+    is not a non-negative integer, which would mean an upstream bug.
     """
-    total = gc
     h = table.codec.height(key)
+    total = gc * (h // g)
     for n in range(2, g + 1):
         if g % n == 0:
             mu = mobius(n)
             if mu:
-                rec = table.nonzero(key // n, h // n)
-                if rec:
-                    total += mu * rec.gc
-    if total < 0 or total % g:
+                pair = table.nonzero(key // n, h // n)
+                if pair:
+                    total += mu * pair[0]
+    if total < 0 or total % h:
         from fractions import Fraction
 
         raise NonIntegerMultiplicity(
-            f"m({render(table.codec.decode(key))}) = {Fraction(total, g)} "
+            f"m({render(table.codec.decode(key))}) = {Fraction(total, h)} "
             f"is not a non-negative integer"
         )
-    return total // g
+    return total // h
 
 
 def compute_all(

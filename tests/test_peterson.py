@@ -26,7 +26,7 @@ from rootmult import (
     subroots,
 )
 from rootmult import peterson
-from rootmult.lattice import height, vsub
+from rootmult.lattice import height, mobius, vsub
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
@@ -36,7 +36,7 @@ from rootmult.peterson import (
 )
 from rootmult.metrics import PHASE_SUM
 from helpers import (
-    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, record, symmetrizable_gcms,
+    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, record, symmetrizable_gcms,
 )
 
 
@@ -105,6 +105,59 @@ def test_mobius_mult_raises_on_negative_or_indivisible_sum():
     assert mobius_mult(table, key, 2, 3) == 1
 
 
+@pytest.mark.parametrize("name,cap", [("affine-a1", 60), ("hyp-2-3", 100)])
+def test_mobius_mult_matches_the_fraction_inversion(name, cap):
+    # mobius_mult inverts in integers, h m(beta) = sum_{n | g} mu(n) a(beta/n)
+    # with a = h c; the reference is m(beta) = sum_{n | g} mu(n)/n c(beta/n)
+    # in fractions, each c(beta/n) from the records.  beta/n lies in the
+    # chamber, so it is a root or has c = 0, never a scaled real.
+    cm = build(preset_matrix(name))
+    table = compute_all(cm, cap)
+    gs = set()
+    for beta in chamber_points(cm, cap):
+        g = coord_gcd(beta)
+        gs.add(g)
+        expected = Fraction(0)
+        for n in range(1, g + 1):
+            rec = table.get(tuple(x // n for x in beta)) if g % n == 0 else None
+            if rec:
+                expected += Fraction(mobius(n), n) * rec.c
+        rec = table.get(beta)
+        assert mobius_mult(table, table.key(beta), g, rec.gc if rec else 0) == expected
+    assert max(gs) == cap // 2  # (30, 30) on affine-a1: mu(30) = -1 is reached
+
+
+@pytest.mark.parametrize("a,shown", [(3, "3/4"), (7, "-1/4")])
+def test_mobius_mult_raises_on_a_doctored_frozen_entry(monkeypatch, a, shown):
+    # At affine-a1's (2, 2), h = 4 and 4 m = a(2, 2) - a(1, 1) = 6 - 2; a
+    # frozen (1, 1) that reads a = 3 or 7 leaves 3 or -1.
+    table = compute_all(build(AFFINE_A1), 4)
+    half = table.key((1, 1))
+    assert table.frozen[1][half] == (2, 0)
+    monkeypatch.setitem(table.frozen[1], half, (a, 0))
+    with pytest.raises(NonIntegerMultiplicity,
+                       match=re.escape(f"m((2,2)) = {shown} is not a non-negative integer")):
+        mobius_mult(table, table.key((2, 2)), 2, table.get((2, 2)).gc)
+
+
+@pytest.mark.parametrize("name,cap", [("e11", 40), ("hyp-2-3", 100)])
+def test_c_readers_agree(name, cap):
+    # c is read from the records (RootRecord.c, which export formats) and
+    # from the frozen dicts (c_value, like the sum): on every recorded
+    # vector they agree, and every scaled real n r reads 1/n.
+    cm = build(preset_matrix(name))
+    table = compute_all(cm, cap)
+    entries = table.entries
+    for v, rec in entries.items():
+        assert c_value(table, v) == rec.c
+    assert len(table.frozen) == cap
+    scaled = [(n, tuple(n * x for x in r)) for r, rec in entries.items() if rec.norm > 0
+              for n in range(2, cap // height(r) + 1)]
+    assert scaled
+    for n, u in scaled:
+        assert c_value(table, u) == Fraction(1, n)
+
+
 def test_records_hold_integer_gc_and_orbit_invariants():
     for grid, cap in ((AFFINE_A1, 16), (HYP3, 30), (AFFINE_A2, 10),
                       (preset_matrix("e10"), 40)):
@@ -132,7 +185,7 @@ def test_record_below_a_frozen_height_raises():
     table = RootTable(cm, 10)
     for alpha in ((1, 0), (0, 1)):
         record(table, alpha)
-    table.build_multiples(3)
+    table.freeze(3)
     for beta in ((1, 1), (2, 1)):
         with pytest.raises(ValueError, match="frozen"):
             record(table, beta)
@@ -150,11 +203,9 @@ def test_record_below_a_frozen_height_raises():
 def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
     # At every chamber point: the value against the recurrence summed over
     # all of subroots(beta), the form count against the unordered pairs
-    # {u, v} (u below half the height, or at half with u <= v); then the
-    # scaled reals of each built height against a scan of the recorded
-    # real roots, and each candidate bucket against the roots and scaled
-    # reals of its height, built for the frozen heights b with 2b <= cap
-    # only, each entry (key, a, norm) with c = a/b.
+    # {u, v} (u below half the height, or at half with u <= v); then each
+    # frozen height's (a, norm) entries against its roots and a scan of
+    # the recorded real roots.
     cm = build(grid)
     table = compute_all(cm, cap)
     for beta in chamber_points(cm, cap):
@@ -171,20 +222,7 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
         value = Fraction(*peterson_c(table, beta, table.key(beta), top, norm))
         assert value == total / (norm - rho_pair(cm, beta))
         assert table.counter.count(PHASE_SUM) - before == 1 + visited
-    entries = tuple(table.entries.items())
-    for b, scaled in enumerate(table.multiples, 1):
-        expected = {}
-        for r, rec in entries:
-            n, rest = divmod(b, height(r))
-            if rec.norm > 0 and n >= 2 and not rest:
-                u = tuple(n * x for x in r)
-                expected[u] = RootRecord(n, 1, 0, killing(cm, u, u))
-        assert {table.codec.decode(k): rec for k, rec in scaled.items()} == expected
-        assert not scaled.keys() & table.levels.get(b, {}).keys()
-    assert len(table.buckets) == min(len(table.multiples), cap // 2)
-    for b, bucket in enumerate(table.buckets, 1):
-        level = {**table.levels.get(b, {}), **table.multiples[b - 1]}
-        assert bucket == [(k, rec.gc * (b // rec.g), rec.norm) for k, rec in level.items()]
+    assert_frozen_heights_match_the_records(table)
 
 
 @pytest.mark.parametrize("grid,cap,empty", [
@@ -192,24 +230,43 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
     (AFFINE_A1, 8, []),
 ])
 def test_frozen_heights_bind_their_partner_lookups(grid, cap, empty):
-    # Freezing height b binds the lookups the Peterson sum asks for a
-    # partner of height b; an empty height gets those of a fresh dict, so
-    # they must still answer for it, and freezing adds no level.
+    # Freezing height b builds the one dict the Peterson sum reads for a
+    # partner of height b; an empty height still gets one, holding its
+    # scaled reals (A2 has no root above height 2, but 3 alpha_1 at 3).
     table = compute_all(build(grid), cap)
-    before = set(table.levels)
-    table.build_multiples(cap)
-    assert set(table.levels) == before
     assert [b for b in range(1, cap + 1) if not table.levels.get(b)] == empty
-    assert len(table.lookups) == cap
-    for v in box_points(table.cm.d, cap):
-        key = table.key(v)
-        for b, (roots_get, scaled_get) in enumerate(table.lookups, 1):
-            assert roots_get(key) is table.levels.get(b, {}).get(key)
-            assert scaled_get(key) is table.multiples[b - 1].get(key)
-    for b, bucket in enumerate(table.buckets, 1):
-        for key, a, norm in bucket:
-            rec = table.levels.get(b, {}).get(key) or table.multiples[b - 1][key]
-            assert a * rec.g == rec.gc * b and norm == rec.norm
+    assert_frozen_heights_match_the_records(table)
+    assert len(table.frozen) == cap
+    assert all(table.frozen[b - 1] for b in empty)
+
+
+def assert_frozen_heights_match_the_records(table):
+    # Freezes every height up to the cap (final once compute_all returns),
+    # which adds no level, then holds each frozen[b - 1] against the roots
+    # of levels[b] and the multiples n r (n >= 2) of a scan of the recorded
+    # real roots r: key -> (a, norm) with c = a/b, the roots first, and no
+    # key both a root and a scaled real.
+    cm, decode = table.cm, table.codec.decode
+    before = set(table.levels)
+    table.freeze(table.cap)
+    assert set(table.levels) == before
+    reals = [(r, rec) for r, rec in table.entries.items() if rec.norm > 0]
+    for b, entry in enumerate(table.frozen, 1):
+        level = table.levels.get(b, {})
+        roots = {decode(k): (rec.gc * (b // rec.g), rec.norm) for k, rec in level.items()}
+        # one (a, norm) object per record, shared by the keys of its orbit
+        assert len({id(entry[k]) for k in level}) == len({id(rec) for rec in level.values()})
+        scaled = {}
+        for r, rec in reals:
+            n, rest = divmod(b, height(r))
+            if n >= 2 and not rest:
+                u = tuple(n * x for x in r)
+                scaled[u] = (b // n, killing(cm, u, u))
+                assert scaled[u][1] == n * n * rec.norm
+        assert not roots.keys() & scaled.keys()
+        got = {decode(k): pair for k, pair in entry.items()}
+        assert list(got)[:len(roots)] == list(roots)
+        assert got == {**roots, **scaled}
 
 
 # hyp-2-3 sums only at beta_0 <= beta_1 (the first point of each orbit
@@ -220,28 +277,29 @@ def test_frozen_heights_bind_their_partner_lookups(grid, cap, empty):
     (preset_matrix("e10"), 40, {"negative", "wrapped"}),
 ])
 def test_entries_not_below_beta_miss_the_lookup(monkeypatch, grid, cap, kinds):
-    # peterson_c decides each bucket entry u by the lookup of its partner
-    # key alone: for u not <= beta that key is negative or has a wrapped
-    # field above the cap, so neither the roots nor the scaled reals of the
-    # partner's height hold it.
+    # peterson_c decides each entry u of a frozen height h <= top/2 by the
+    # lookup of its partner key alone: for u not <= beta that key is
+    # negative or has a wrapped field above the cap, so neither the roots
+    # nor the frozen dict of the partner's height hold it.
     original = peterson.peterson_c
     rejected = {"negative": 0, "wrapped": 0}
 
     def checked(table, beta, key, top, norm):
         result = original(table, beta, key, top, norm)
-        guard, levels, multiples = table.codec.guard, table.levels, table.multiples
-        for h, bucket in enumerate(table.buckets[:top // 2], 1):
-            for ku, *_ in bucket:
+        guard, levels, frozen = table.codec.guard, table.levels, table.frozen
+        for h in range(1, top // 2 + 1):
+            for ku in frozen[h - 1]:
                 kv = key - ku
                 if kv & guard:
                     rejected["negative" if kv < 0 else "wrapped"] += 1
                     assert kv not in levels.get(top - h, {})
-                    assert kv not in multiples[top - h - 1]
+                    assert kv not in frozen[top - h - 1]
         return result
 
     monkeypatch.setattr("rootmult.peterson.peterson_c", checked)
-    compute_all(build(grid), cap)
+    table = compute_all(build(grid), cap)
     assert {kind for kind, n in rejected.items() if n} == kinds, rejected
+    assert_frozen_heights_match_the_records(table)
 
 
 def test_peterson_c_out_of_order_matches_in_order():

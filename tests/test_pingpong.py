@@ -115,7 +115,7 @@ def test_pingpong_refuses_an_image_of_a_frozen_height():
     cm = build(A2)
     table = RootTable(cm, 3)
     key = record(table, (1, 0))
-    table.build_multiples(2)
+    table.freeze(2)
     with pytest.raises(ValueError, match=r"cannot record \(1, 1\): height 2 is frozen"):
         pingpong(table, (1, 0), key, 1)
     assert len(table) == 1
