@@ -79,10 +79,7 @@ def load_config(argv=None) -> argparse.Namespace:
     if not 1 <= args.height <= MAX_CAP:
         raise ValueError(f"--height must be >= 1 and <= {MAX_CAP}")
     if args.preset is not None:
-        try:
-            grid = preset_matrix(args.preset)
-        except KeyError as e:
-            raise ValueError(e.args[0]) from None
+        grid = preset_matrix(args.preset)
     else:
         try:
             with open(args.matrix, "r", encoding="utf-8") as fh:

@@ -1,121 +1,76 @@
 """The graded-ascent multiplicity engine.
 
-Roots are discovered in ascending height order.  Real roots come from
-pingponging the simple roots.  Imaginary roots are found by evaluating the
-Peterson recurrence
+Roots are found in ascending height order.  The real roots come from
+walking the Weyl orbits of the simple roots ("pingpong").  At each point
+beta of the fundamental chamber, in (height, lex) order, the Peterson
+recurrence
 
     c(beta) = [ sum_{gamma < beta} (gamma, beta - gamma) c(gamma) c(beta - gamma) ]
               / ((beta, beta) - 2 (rho, beta))
 
-at each point of the fundamental chamber, where the sum only needs the
-vectors whose c-value is nonzero: previously recorded roots, and the
-scaled reals n*r (n >= 2, r a recorded real root), which are not roots,
-have c = 1/n and are kept apart from the roots.  Multiplicities follow by
-Moebius inversion over the divisor lattice of gcd(beta), and each new
-root's orbit is closed by pingpong before the next height is processed.
+gives c(beta) = sum_{n | gcd(beta)} m(beta/n)/n, and Moebius inversion
+over the divisors of gcd(beta) turns it into the multiplicity; each new
+root's orbit is walked before the next height.  Only vectors with c != 0 enter
+the sum: the recorded roots, and the scaled reals n r (n >= 2, r a real
+root), which are not roots and have c = 1/n.
 
-A diagram automorphism sigma (a node permutation preserving S, see
-cartan.automorphisms) maps the chamber to itself and preserves the form,
-rho and height, so c(sigma beta) = c(beta) (Kac, Infinite-dimensional Lie
-algebras, 4.19 and 11.13).  The Peterson sum is therefore evaluated once
-per orbit of chamber points under these permutations, at the orbit's
-first point in (height, lex) order, and its value is reused at the other
-points; every point still gets its own Moebius inversion, record and
-pingpong, since the images lie in different Weyl orbits.
+Automorphisms.  A diagram automorphism sigma (a node permutation
+preserving S, see cartan.automorphisms) maps the chamber to itself and
+preserves the form, rho and the height, so c(sigma beta) = c(beta) (Kac,
+Infinite-dimensional Lie algebras, 4.19 and 11.13).  The sum is therefore
+evaluated once per orbit of chamber points under these permutations, at
+the orbit's first point in lex order, and the other points reuse its
+value; each point still gets its own Moebius inversion, record and walk,
+since the images lie in different Weyl orbits.
 
-Every vector inside the engine is one non-negative int, its KeyCodec key
-for the box [0, cap]^d.  Each coordinate gets a field of w bytes, w the
-smallest power of two with cap < 2^(8w - 1), so the top bit of every field
-(its guard bit) is clear in every key.  Coordinate 0 takes the most
-significant field, so int order is lex order, and export sorts ints.  With
-G the mask of the guard bits:
+Key layout.  Every vector inside the engine is one non-negative int, its
+KeyCodec key for the box [0, cap]^d.  Each coordinate gets a field of w
+bytes, w the smallest power of two with cap < 2^(8w - 1), so the top bit
+of every field (its guard bit) is clear in every key.  Coordinate 0 takes
+the most significant field, so int order is lex order.  With G the mask
+of the guard bits:
 
 - u <= beta componentwise iff (key(beta) - key(u)) & G == 0: if it holds,
-  no field borrows and each field of the difference is beta_i - u_i, in
-  [0, 2^(8w - 1)); if not, the difference is negative or the lowest field
-  with u_i > beta_i takes no borrow from below and wraps to at least
-  2^(8w - 1), so its guard bit is set, and it is the key of no vector of
-  the box;
-- then key(beta) - key(u) is key(beta - u), so the Peterson sum finds
-  v = beta - u with one subtraction;
+  no field borrows and each field of the difference is beta_i - u_i; if
+  not, the difference is negative or the lowest field with u_i > beta_i
+  takes no borrow from below and wraps to at least 2^(8w - 1), setting its
+  guard bit.  Either way it is the key of no vector of the box, so a
+  lookup of the partner key(beta) - key(u) misses every u not <= beta;
 - key(n gamma) = n key(gamma), so exact division by n divides gamma;
-- s_i changes only coordinate i, so an image is key - (p << shifts[i]);
+- s_i changes only coordinate i, so an image is key - (p_i << shifts[i]);
 - the height is the top field of key * ones, exact whenever the
-  coordinates sum below 2^(8w) (no field of the product carries), which
-  holds for every vector of the box with height <= cap.
+  coordinates sum below 2^(8w), which holds for every vector of the box
+  with height <= cap.
 
-The table records each vector once, in the dict of its height, and every
-reader passes the height it knows; the levels, frozen dicts and walk hold
-keys.  Tuples appear only at the API edge: RootTable.key
-checks a tuple's length and range before encoding it (so nothing outside
-the box lands on another vector's key), and get, in, entries, roots,
-lines_by_height, c_value and query_mult decode or encode there, and add
-no level.  compute_all derives each chamber point's key, height, g =
-gcd(beta) and norm (beta, beta) once, from the tuple that chamber_points
-yields, and hands them to peterson_c, mobius_mult, RootTable.record
-(whose guards still check key, height and g) and pingpong.  Export splits each key into its high ceil(d/2) fields and its
-low floor(d/2) fields and formats each distinct half once per export.
-A height h, once final, freezes into one dict, key -> (a, norm), of its
-vectors with c = a/h != 0 (g | h, so a = gc h/g is an integer): its roots,
-then its scaled reals.  The Peterson sum is one pass per chamber point
-over the frozen dicts of heights h = 1..top/2, each entry u decided by
-one lookup of its partner key key(beta) - key(u) in the frozen dict of
-the partner's height: it misses every u not <= beta, whose partner key is
-the key of no vector.  Each height sums into one integer over h (top - h);
-height top/2, scanned in full, over 2 h^2.  Those denominators depend on
-top alone, so their common multiple and each height's multiplier come
-from _scales(top), which caches the last height's.
+Tuples appear only at the API edge (RootTable.key, get, entries, roots,
+lines_by_height, c_value, query_mult), which checks them before encoding
+and adds no level.
 
-pingpong walks a seed root's Weyl orbit upwards: from the seed, the lowest
-member of its orbit, it takes only the reflections that raise the height,
-keeps every image of height at most the cap, and records each new member
-with the seed's own RootRecord: its values are Weyl invariants, so the
-whole orbit shares one record object.  The table's levels are the walk's
-only visited set, so no recorded vector is reflected twice.
+The walk.  pingpong walks a seed's Weyl orbit upward from its lowest
+member, a simple root or a chamber point, by the reflections that raise
+the height.  That reaches the whole orbit below the cap: a positive root
+that is neither simple nor in the chamber has an i with p_i = <beta,
+alpha_i^vee> > 0 whose image s_i(beta) is a positive root of smaller
+height (Kac, Ch. 5), so every positive root of height <= cap comes down,
+through positive roots, to one of those lowest members, and read upward
+that chain is a walk of raising moves.  The orbit's values are Weyl
+invariants, so every member is recorded with the seed's RootRecord
+object, and the table's levels are the walk's only visited set.  The walk
+carries each vector's height and pairing vector p = A beta: s_i raises
+the height iff p_i < 0, and moves p by p_i times column i of A.
 
-Raising moves alone reach the whole orbit below the cap.  A positive root
-beta that is not a simple root and not in the fundamental chamber has an i
-with p_i = <beta, alpha_i^vee> > 0 whose image s_i(beta) is a positive root
-of smaller height (Kac, Infinite-dimensional Lie algebras, Ch. 5), so
-every positive root of height <= cap comes down, through positive roots of
-falling height, to a simple root or to the chamber point of its orbit.
-Read upwards, that chain is a walk of raising moves, none above beta's
-height.  compute_all seeds exactly those lowest members and each walk
-expands every vector it records, so a lowering move could only find a
-vector that is already recorded, and the walk does not try one.
-
-The walk carries, for each vector it has yet to expand, its height and its
-pairing vector p = A beta.  The reflection s_i changes only coordinate i,
-by -p_i, so it raises the height exactly when p_i < 0; the image is then
-positive, its key is key - (p_i << shifts[i]), its height h - p_i, and its
-pairing vector p - p_i * (column i of A), a scaled column built once per
-(i, p_i) in a walk.  No tuple of coordinates is built per image but the
-one the g check unpacks: the walk checks each new key under its carried
-height with RootTable.record's conditions, written out inline (a call per
-image would cost more than the checks), and stores it into the level it
-has already looked the key up in; an image that fails calls record, which
-raises its own error.  The walk returns keys.  cartan.reflect is the
-pure single-step API on tuples and the tests' arbiter for the walk;
-pingpong does not call it.
-The counter charges the cost model's d reflections (one form-equivalent
-evaluation each) per walked vector, in one bulk tick per walk.
-
-Everything is exact and integer inside.  With g = gcd(beta), g*c(beta) is
-an integer, because c(beta) = sum_{n | g} m(beta/n)/n; compute_all checks
-that once per chamber point, right after the Peterson sum, and from there
-on the table takes only integers: a record stores gc beside g, the
-multiplicity and the norm (beta, beta), which also decides the kind (real
-iff positive); a frozen height stores (a, norm) = (gc h/g, (beta, beta))
-for a root and (ht(r), n^2 (r, r)) for a scaled real n r, whose c is 1/n.
-The Peterson sum takes each pair's form from stored norms, 2 (u, v) =
-(beta, beta) - (u, u) - (v, v), and still charges the cost model one form
-per pair.  The sum returns an integer fraction, and g*c is one divmod of
-g times its numerator by its denominator, the remainder checked.  The
-Moebius inversion reads a(beta/n) at key(beta) / n.  Fraction appears
-only in c_value and RootRecord.c, for readers, and in the three
-NonIntegerMultiplicity messages; each imports it where it is used, so a
-run that reads no c as a Fraction and raises none of them never loads
-fractions.  No floating point is used anywhere in the engine.
+Integers.  With g = gcd(beta), g c(beta) = sum_{n | g} m(beta/n) g/n is
+an integer, and g divides h = ht(beta), so a(beta) = h c(beta) = gc h/g is
+an integer too.  compute_all checks g c once per chamber point, after the
+sum; from there on the table holds only integers: a record stores g, gc,
+the multiplicity and the norm (beta, beta), and a height h, once final,
+freezes into one dict, key -> (a, norm), over its vectors with
+c = a/h != 0.  The Peterson sum takes each pair's form from stored
+norms, 2 (u, v) = (beta, beta) - (u, u) - (v, v), and still charges the
+cost model one form per pair.  Fractions are built only for readers
+(c_value, RootRecord.c) and for NonIntegerMultiplicity messages, by
+_fraction, so a run that does neither never loads fractions.  No floating
+point is used.
 """
 
 from __future__ import annotations
@@ -141,9 +96,16 @@ KIND_IMAGINARY = "imaginary"
 MAX_CAP = (1 << 63) - 1  # the widest field KeyCodec packs is 8 bytes
 
 
+def _fraction(num: int, den: int = 1) -> Fraction:
+    """Fraction(num, den), importing fractions on the first call."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 class KeyCodec:
-    """One non-negative int per vector of the box [0, cap]^d, in the
-    layout of the module docstring.
+    """One non-negative int per vector of the box [0, cap]^d (module
+    docstring, Key layout); a cap above MAX_CAP raises ValueError.
 
     encode does not check its input: callers ensure 0 <= v_i <= cap (the
     root table's key() does).  decode is one struct unpack.
@@ -208,9 +170,7 @@ class RootRecord(NamedTuple):
 
     @property
     def c(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.gc, self.g)
+        return _fraction(self.gc, self.g)
 
     @property
     def kind(self) -> str:
@@ -223,14 +183,13 @@ class RootTable:
 
     The engine's one state object: it carries the Cartan matrix, the cap,
     the counter of its run and the KeyCodec of the box [0, cap]^d, and
-    levels, its one store of records: height -> {key -> RootRecord}.
-    Filled in by one run (pingpong and the driver write to it, and their
-    reads may add an empty level in 1..cap, which exports nothing);
-    read-only once compute_all returns.  frozen[h - 1], built by freeze
-    once height h is final, maps the key of each vector of height h with a
-    nonzero c, its roots and scaled reals, to (a, norm) with c = a/h: the
-    one store the Peterson sum, the Moebius inversion and c_value read.
-    A frozen height takes no further records.
+    levels, its one store of records: height -> {key -> RootRecord}.  A
+    read by the walk may add an empty level in 1..cap, which exports
+    nothing.  frozen[h - 1], built by freeze, maps each vector of height h
+    with c = a/h != 0 to (a, norm).  compute_all fills the table; once it
+    returns, the engine records nothing more, but c_value, peterson_c and
+    mobius_mult still freeze the heights they read, which adds frozen
+    dicts and never a record.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -276,14 +235,11 @@ class RootTable:
         """Store the vector of key, of height h, with rec, the record of its
         orbit (shared, not copied).
 
-        The guards hold on the key: clear guard bits and 0 < key < limit
-        make every field a non-negative coordinate; one multiply checks the
-        carried height h <= cap, which then bounds every coordinate (the
-        multiply is exact unless the fields sum to 2^(8w) or more, which
-        takes three fields far above the cap); and g is checked against the
-        decoded coordinates.  pingpong applies the same conditions inline
-        to its images and calls record only to raise the error of one that
-        fails, so these messages are written here alone.
+        Raises ValueError unless the key has clear guard bits and 0 < key <
+        limit (every field a non-negative coordinate), its height read by
+        one multiply is h with 0 < h <= cap (which bounds every coordinate
+        while the multiply is exact), h is not frozen, the key is not
+        recorded yet, and rec.g is the gcd of its coordinates.
         """
         codec = self.codec
         if (key & codec.guard or not (0 < key < codec.limit and 0 < h <= self.cap)
@@ -306,12 +262,12 @@ class RootTable:
     def freeze(self, h: int) -> None:
         """Freeze every height up to h not frozen yet: height b takes no
         further records and gets frozen[b - 1], key -> (a, norm) for each
-        vector of height b with c = a/b != 0.  First its roots, a = gc b/g
-        (g | b, so a is an integer); then its scaled reals n r, for each
-        recorded real root r (norm > 0) and n >= 2 with n ht(r) = b, which
-        take a = ht(r) (c = 1/n) and norm n^2 (r, r).  No multiple of a real
-        root is a root, so no key is both.  One (a, norm) tuple serves every
-        key of a record at b.  Adds no level."""
+        vector of height b with c = a/b != 0.  First its roots, a = gc b/g;
+        then its scaled reals n r, for each recorded real root r (norm > 0)
+        and n >= 2 with n ht(r) = b, which take a = ht(r) (c = 1/n) and norm
+        n^2 (r, r).  No multiple of a real root is a root, so no key is
+        both.  One (a, norm) tuple serves every key of a record at b.  Adds
+        no level."""
         levels, frozen = self.levels, self.frozen
         while len(frozen) < h:
             b = len(frozen) + 1
@@ -329,13 +285,6 @@ class RootTable:
                                 last, pair = rec, (b // n, n * n * rec.norm)
                             entry[n * k] = pair
             frozen.append(entry)
-
-    def nonzero(self, key: int, h: int) -> tuple[int, int] | None:
-        """(a, norm) of the vector of key, of height h >= 1, if its c = a/h
-        is nonzero: a root's or a scaled real's; else None.  Freezes the
-        heights up to h, and adds no level."""
-        self.freeze(h)
-        return self.frozen[h - 1].get(key)
 
     def roots(self) -> list[Vec]:
         """All recorded vectors with positive multiplicity, (height, lex)."""
@@ -393,27 +342,25 @@ class _HalfTexts(dict):
 
 
 def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
-    """Close the seed's Weyl orbit under the table's height cap, by ascent.
+    """Close the seed's Weyl orbit under the table's height cap, by
+    ascent (module docstring, The walk).
 
-    The seed comes with its key and height, as compute_all derived them.
-    It must be recorded and must be the lowest member of its orbit,
-    as compute_all's seeds (simple roots and chamber points) are: a seed
-    with some p_i > 0 and seed_i >= p_i, whose image s_i(seed) is positive
-    and lower, raises ValueError, since the walk would miss what lies above
+    The seed comes with its key and height.  It must be recorded (else
+    KeyError) and must be the lowest member of its orbit: a seed with some
+    p_i > 0 and seed_i >= p_i, whose image s_i(seed) is positive and
+    lower, raises ValueError, since the walk would miss what lies above
     that image.
 
-    Walks breadth-first from the seed, on keys, by the raising moves of
-    height <= cap (module docstring).  An image that the table does not
-    hold passes RootTable.record's conditions, checked inline (one that
-    fails is handed to record, which raises its ValueError), is stored
-    with the seed's record object and is walked in turn; one it holds must
-    carry that record or equal values (E10's simple roots are recorded
-    apart but share one orbit) and is not walked again.
-    Returns the keys of the new records in record order ([] on a second
-    run): the walk's own list less its seed, not a copy, which at E10's
-    first walk would add its size to the peak RSS.  table.codec.decode
-    turns a key into its vector.  Ticks d * len(walk) pingpong forms,
-    the seed's included, on table.counter once, at its end.
+    Walks breadth-first from the seed, on keys.  An image the table does
+    not hold is recorded with the seed's record object, or raises the
+    ValueError of RootTable.record, and is walked in turn; one it holds
+    must carry that record or equal values (E10's simple roots are
+    recorded apart but share one orbit), else AssertionError, and is not
+    walked again.  Returns the keys of the new records in record order
+    ([] on a second run): the walk's own list less its seed, not a copy,
+    which at E10's first walk would add its size to the peak RSS.  Ticks
+    d * len(walk) pingpong forms, the seed's included, on table.counter
+    once, at its end.
     """
     record = table.levels.get(h, {}).get(key)
     if record is None:
@@ -446,11 +393,13 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
             level = levels[up]
             existing = level.get(image)
             if existing is None:
-                # record's checks, inline: a call per image costs more than they do
+                # RootTable.record's checks, inline, since a call per image
+                # costs more than they do; an image that fails one goes to
+                # record, which raises the error, so its messages live there.
                 if (image & guard or not 0 < image < limit or up <= frozen
                         or (image * ones >> top_shift) & mask != up
                         or gcd(*unpack(image.to_bytes(size, "big"))) != g):
-                    table.record(image, up, record)  # raises its precise error
+                    table.record(image, up, record)
                 level[image] = record
                 walk.append(image)
                 col = scaled.get((i, p_i))
@@ -469,54 +418,56 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
     return walk
 
 
-def c_value(table: RootTable, gamma: Vec) -> Fraction:
-    """c(gamma) = a/h, read from the frozen dict of its height h.
+def _edge_key(table: RootTable, beta: Vec) -> tuple[int, int] | None:
+    """(key, height) of beta, or None for the zero vector and a beta with a
+    negative coordinate; raises what c_value and query_mult raise."""
+    if len(beta) != table.cm.d:
+        raise ValueError("dimension mismatch")
+    if min(beta) < 0 or not any(beta):
+        return None
+    h = height(beta)
+    if h > table.cap:
+        raise HeightExceedsCap(f"height {h} exceeds table cap {table.cap}")
+    return table.codec.encode(beta), h
 
-    A recorded root answers its c, a scaled real n r its c = 1/n, and
-    everything else 0, as does a gamma with a negative coordinate and the
-    zero vector.  A gamma of the wrong length raises ValueError and
-    a non-negative gamma above the table's cap HeightExceedsCap, as in
-    query_mult: the table cannot tell its c-value.  No form evaluations;
+
+def c_value(table: RootTable, gamma: Vec) -> Fraction:
+    """c(gamma) = a/h, read from the frozen dict of its height h: a recorded
+    root's c, 1/n for a scaled real n r, and 0 for every other gamma,
+    among them the zero vector and a gamma with a negative coordinate.
+    A gamma of the wrong length raises ValueError, and one above the cap
+    HeightExceedsCap: the table cannot tell its c.  No form evaluations;
     freezes the heights up to gamma's.
     """
-    from fractions import Fraction
-
-    if len(gamma) != table.cm.d:
-        raise ValueError("dimension mismatch")
-    if min(gamma) < 0 or not any(gamma):
-        return Fraction(0)
-    if height(gamma) > table.cap:
-        raise HeightExceedsCap(f"height {height(gamma)} exceeds table cap {table.cap}")
-    pair = table.nonzero(table.key(gamma), height(gamma))
-    return Fraction(pair[0], height(gamma)) if pair else Fraction(0)
+    edge = _edge_key(table, gamma)
+    if edge is None:
+        return _fraction(0)
+    key, h = edge
+    table.freeze(h)
+    a, _ = table.frozen[h - 1].get(key, (0, 0))
+    return _fraction(a, h)
 
 
 def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tuple[int, int]:
-    """The Peterson recurrence at the chamber point beta, given its key,
-    height top and norm (beta, beta), as an integer fraction
-    (numerator, denominator).
+    """The Peterson recurrence at beta, given its key, height top and norm
+    (beta, beta), as an integer fraction (numerator, denominator).
 
-    Every chamber point of smaller height must already have been processed
-    and every known root pingponged; the sum then ranges over exactly the
-    decompositions with both c-values nonzero.  A zero denominator raises
-    ZeroDenominator before any tick.
+    Every height below top must be final, as it is at a chamber point once
+    every chamber point of smaller height is processed and every known
+    root walked: chamber points are lowest in their orbits and walks only
+    raise the height.  Freezes the heights up to top - 1.  A zero
+    denominator raises ZeroDenominator before any tick.  Ticks one form
+    per pair and one for (beta, beta).
 
-    Chamber points are minimal in height within their orbit and walks only
-    raise the height, so once beta is reached every height below top is
-    final, and the sum freezes the heights up to top - 1.  Every entry
-    u -> (a_u, norm_u) of frozen[h - 1], h <= top/2, is scanned, and one
-    lookup of kv = key - ku in frozen[top - h - 1] decides it.  The lookup
-    misses every u not <= beta: kv is then negative (u_0 > beta_0), or the
-    lowest field with u_i > beta_i wraps to at least 2^(8w - 1) and sets
-    its guard bit; record refuses a key with a guard bit set, and a scaled
-    real has none, its coordinates being at most the cap.  A hit (a_v,
-    norm_v) adds 2 (u, v) c(u) c(v) = (norm - norm_u - norm_v) a_u a_v /
-    (h (top - h)) to its height's one integer.  At h = top/2 the full scan
-    meets u = v (beta = 2u) once and each other pair twice: the
-    denominator 2 h^2 halves it, and ceil(hits / 2) pairs are counted.
-    The heights meet over their common denominator, which _scales(top)
-    gives with each height's multiplier.  The cost model still charges one
-    form per pair.
+    Every entry u -> (a_u, norm_u) of frozen[h - 1], h <= top/2, is
+    scanned, and one lookup of kv = key - ku in frozen[top - h - 1]
+    decides it, missing every u not <= beta (module docstring, Key
+    layout).  A hit (a_v, norm_v) adds 2 (u, v) c(u) c(v) =
+    (norm - norm_u - norm_v) a_u a_v / (h (top - h)) to its height's one
+    integer.  At h = top/2 the full scan meets u = v (beta = 2u) once and
+    each other pair twice: the denominator 2 h^2 halves it, and
+    ceil(hits / 2) pairs are counted.  The heights meet over their common denominator, which
+    _scales(top) gives with each height's multiplier.
     """
     denom = norm - rho_pair(table.cm, beta)
     if denom == 0:
@@ -538,7 +489,7 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
             acc += a_u * a_v * (norm - norm_u - norm_v)
         num += acc * scale
         forms += len(us) - misses
-    if not top & 1:  # the middle height, last: it met u = v once, other pairs twice
+    if not top & 1:  # the middle height, scanned last
         forms -= (len(us) - misses) >> 1
     table.counter.tick(PHASE_SUM, forms)
     return num, common * denom
@@ -546,27 +497,26 @@ def peterson_c(table: RootTable, beta: Vec, key: int, top: int, norm: int) -> tu
 
 @lru_cache(maxsize=1)  # chamber points arrive in height order
 def _scales(top: int) -> tuple[int, tuple[int, ...]]:
-    """The common denominator of the Peterson sum's heights h at height
-    top, h (top - h) for h < top/2 and 2 (top/2)^2 for the middle height,
-    with each height's multiplier, common // its denominator, in order."""
+    """The common denominator of peterson_c's heights at height top, with
+    each height's multiplier, common // its denominator, in order."""
     dens = [h * (top - h) for h in range(1, (top + 1) // 2)]
     if not top & 1:
-        dens.append(top * top >> 1)  # the middle height's 2 (top/2)^2
+        dens.append(top * top >> 1)
     common = lcm(*dens)
     return common, tuple([common // den for den in dens])
 
 
 def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
-    """Multiplicity by Moebius inversion along the divisors of g = gcd(beta),
-    beta the vector of key:
+    """Multiplicity of beta, the vector of key, by Moebius inversion along
+    the divisors of g = gcd(beta), given gc = g c(beta):
 
-        m(beta) = sum_{n | g} mu(n)/n * c(beta/n),
+        h m(beta) = sum_{n | g} mu(n) a(beta/n),  h = ht(beta),
 
-    and c(beta/n) = a(beta/n) n/h with h = ht(beta), so h * m(beta) =
-    sum_{n | g} mu(n) a(beta/n) in integers, with a(beta) = gc h/g from the
-    given gc = g * c(beta) and the smaller terms read from the frozen dict
-    of height h/n, at key / n.  Raises NonIntegerMultiplicity if the result
-    is not a non-negative integer, which would mean an upstream bug.
+    in integers (module docstring, Integers), with a(beta) = gc h/g and
+    each a(beta/n), n >= 2, read from the frozen dict of height h/n at key
+    / n.  Freezes the heights up to h/n for each n with mu(n) != 0.
+    Raises NonIntegerMultiplicity if the result is not a non-negative
+    integer, which would mean an upstream bug.
     """
     h = table.codec.height(key)
     total = gc * (h // g)
@@ -574,14 +524,12 @@ def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
         if g % n == 0:
             mu = mobius(n)
             if mu:
-                pair = table.nonzero(key // n, h // n)
-                if pair:
-                    total += mu * pair[0]
+                table.freeze(h // n)
+                a, _ = table.frozen[h // n - 1].get(key // n, (0, 0))
+                total += mu * a
     if total < 0 or total % h:
-        from fractions import Fraction
-
         raise NonIntegerMultiplicity(
-            f"m({render(table.codec.decode(key))}) = {Fraction(total, h)} "
+            f"m({render(table.codec.decode(key))}) = {_fraction(total, h)} "
             f"is not a non-negative integer"
         )
     return total // h
@@ -595,24 +543,19 @@ def compute_all(
     """Find every positive root of height <= cap with its multiplicity.
 
     Records m = c = 1 on the simple roots and pingpongs them, then walks
-    the chamber points in ascending (height, lex) order: Peterson c-value,
-    Moebius multiplicity, and - for actual roots - a record and an orbit
-    closure that propagates the values.  Each point's key, height, g =
+    the chamber points in ascending (height, lex) order: the Peterson sum
+    at the first point of each orbit under the diagram automorphisms
+    (module docstring, Automorphisms), Moebius multiplicity, and for a
+    root a record and a walk of its orbit.  Each point's key, height, g =
     gcd(beta) and norm (beta, beta) are derived once, here, and handed to
     each of those steps; g * c comes from the sum's integer fraction by one
     divmod.  A chamber point that is not a root must have c = 0: a nonzero
     c would make some beta/n (n >= 2) a root, and that vector lies in the
     chamber too, so it is imaginary and its multiple beta is a root.  A
     violation, or a c-value whose g * c is not an integer, raises
-    NonIntegerMultiplicity.
-
-    The Peterson sum runs only at the first point of each orbit under the
-    diagram automorphisms: its images are chamber points of the same
-    height that come later in lex order, and they wait in pending with its
-    g * c until the walk reaches them.  The generators are found at the
+    NonIntegerMultiplicity.  The automorphism generators are found at the
     first summed point, so a matrix without chamber points never searches
-    for them; when the group is trivial (E10, E11) there are none and every
-    point is summed.
+    for them.
     """
     table = RootTable(cm, cap, counter)
     codec = table.codec
@@ -630,10 +573,8 @@ def compute_all(
             num, den = peterson_c(table, beta, key, top, norm)
             gc, rem = divmod(num * g, den)
             if rem:
-                from fractions import Fraction
-
                 raise NonIntegerMultiplicity(
-                    f"gcd * c({render(beta)}) = {Fraction(num * g, den)} is not an integer"
+                    f"gcd * c({render(beta)}) = {_fraction(num * g, den)} is not an integer"
                 )
             if gens is None:
                 gens = automorphisms(cm)
@@ -644,10 +585,8 @@ def compute_all(
             table.record(key, top, RootRecord(g, gc, mult, norm))
             pingpong(table, beta, key, top)
         elif gc:
-            from fractions import Fraction
-
             raise NonIntegerMultiplicity(
-                f"c({render(beta)}) = {Fraction(gc, g)} but m = 0 at a chamber point"
+                f"c({render(beta)}) = {_fraction(gc, g)} but m = 0 at a chamber point"
             )
     return table
 
@@ -667,22 +606,17 @@ def _images(beta: Vec, gens) -> list[Vec]:
 
 
 def query_mult(table: RootTable, beta: Vec) -> int:
-    """Multiplicity of an arbitrary lattice vector, using m(beta) = m(-beta).
+    """Multiplicity of any lattice vector, using m(beta) = m(-beta).
 
-    Vectors of mixed sign are never roots and answer 0 at any height; for
-    the rest the height must be within the table's cap.
+    The zero vector and vectors of mixed sign answer 0 at any height.  A
+    beta of the wrong length raises ValueError, and one above the cap
+    HeightExceedsCap.
     """
-    if len(beta) != table.cm.d:
-        raise ValueError("dimension mismatch")
-    if not any(beta):
-        return 0
     if all(b <= 0 for b in beta):
         beta = tuple(-b for b in beta)
-    elif not all(b >= 0 for b in beta):
+    edge = _edge_key(table, beta)
+    if edge is None:
         return 0
-    if height(beta) > table.cap:
-        raise HeightExceedsCap(
-            f"height {height(beta)} exceeds table cap {table.cap}"
-        )
-    rec = table.get(beta)
+    key, h = edge
+    rec = table.levels.get(h, {}).get(key)
     return rec.mult if rec is not None else 0

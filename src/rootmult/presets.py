@@ -31,7 +31,8 @@ def preset_matrix(name: str) -> list[list[int]]:
 
     Known names: a2, affine-a1, e10, e11 and the rank-2 family hyp-2-K
     (e.g. hyp-2-3 is [[2,-3],[-3,2]]), K >= 1 spelled in canonical ASCII
-    digits: no sign, padding, whitespace or underscore.
+    digits: no sign, padding, whitespace or underscore.  Any other name
+    raises ValueError.
     """
     if name == "a2":
         return [[2, -1], [-1, 2]]
@@ -49,7 +50,7 @@ def preset_matrix(name: str) -> list[list[int]]:
             k = 0
         if k >= 1 and suffix == str(k):
             return [[2, -k], [-k, 2]]
-    raise KeyError(f"unknown preset {name!r}")
+    raise ValueError(f"unknown preset {name!r}")
 
 
 PRESET_NAMES = ("a2", "affine-a1", "e10", "e11", "hyp-2-K")

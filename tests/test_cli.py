@@ -298,6 +298,8 @@ def test_unknown_preset_exits_2():
 def test_noncanonical_preset_name_exits_2(name, capsys):
     assert cli.main(["--preset", name, "--height", "3"]) == 2
     assert capsys.readouterr().err == f"error: unknown preset {name!r}\n"
+    with pytest.raises(ValueError, match="unknown preset"):
+        preset_matrix(name)
 
 
 def test_deeply_nested_matrix_file_exits_2(tmp_path):
@@ -370,6 +372,15 @@ def test_cli_import_pulls_in_no_dataclasses_or_inspect():
                 "rootmult.oracle"}
     assert run_bare(f"import rootmult.cli; print(sorted({unwanted!r} & set(sys.modules)))"
                     ) == "[]"
+
+
+@pytest.mark.parametrize("extra", [(), ("--format", "json", "--metrics"), ("--hilbert-basis",)])
+def test_a_run_without_oracle_check_loads_no_fractions_or_oracle(extra, tmp_path):
+    args = ["--preset", "hyp-2-3", "--height", "30", "--quiet", "--out", str(tmp_path / "t"),
+            *extra]
+    unwanted = {"fractions", "decimal", "numbers", "rootmult.oracle"}
+    assert run_bare(f"import rootmult.cli; code = rootmult.cli.main({args!r}); "
+                    f"print(code, sorted({unwanted!r} & set(sys.modules)))") == "0 []"
 
 
 def test_oracle_names_load_on_first_use():

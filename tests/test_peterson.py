@@ -36,7 +36,7 @@ from rootmult.peterson import (
 )
 from rootmult.metrics import PHASE_SUM
 from helpers import (
-    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, record, symmetrizable_gcms,
+    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, record, symmetrizable_gcms,
 )
 
 
@@ -321,6 +321,40 @@ def test_peterson_c_out_of_order_matches_in_order():
     for points in zip_longest(*calls):
         for args, value in filter(None, points):
             assert peterson_c(*args) == value
+
+
+def recurrence_off_the_chamber(grid, cap):
+    # Holds the Peterson sum against c_value at every lattice point of
+    # height 2..cap of the finished table, chamber point or not, and
+    # returns (checked, skipped): a point whose denominator (beta, beta) -
+    # 2 (rho, beta) is 0 is skipped.
+    cm = build(grid)
+    table = compute_all(cm, cap)
+    checked = skipped = 0
+    for beta in box_points(cm.d, cap):
+        top = height(beta)
+        if not 2 <= top <= cap:
+            continue
+        norm = killing(cm, beta, beta)
+        if norm == rho_pair(cm, beta):
+            skipped += 1
+            continue
+        value = Fraction(*peterson_c(table, beta, table.key(beta), top, norm))
+        assert value == c_value(table, beta), beta
+        checked += 1
+    return checked, skipped
+
+
+@pytest.mark.parametrize("grid,cap,checked,skipped", [(HYP3, 60, 1882, 6),
+                                                      (AFFINE_A1, 40, 848, 10)])
+def test_the_recurrence_holds_off_the_chamber(grid, cap, checked, skipped):
+    assert recurrence_off_the_chamber(grid, cap) == (checked, skipped)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=4), cap=st.integers(2, 10))
+def test_the_recurrence_holds_off_the_chamber_for_any_gcm(grid, cap):
+    recurrence_off_the_chamber(grid, cap)
 
 
 def test_c_value_covers_scaled_reals_without_storing():

@@ -34,3 +34,17 @@ def test_readme_library_block_shows_what_it_computes():
         checked += 1
     exec("\n".join(pending), namespace)
     assert checked == 9
+
+
+def test_readme_command_line_names_every_option_and_exit_code():
+    # Every long option of the parser but --help appears in the README's
+    # "Command line" section, and its list of exit codes is cli's EXIT_*.
+    from rootmult import cli
+
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    options = {opt for action in cli.build_parser()._actions
+               for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+    assert sorted(opt for opt in options if f"`{opt}" not in section) == []
+    listed = re.findall(r"^- (\d+) ", section.split("Exit codes:", 1)[1], re.M)
+    exits = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
+    assert sorted(map(int, listed)) == sorted(exits)
