@@ -6,8 +6,11 @@ finitely generated semigroup with a unique minimal generating set (the
 Hilbert basis).
 
 The engine needs only the chamber points up to a height cap, and
-chamber_points enumerates them directly by a pruned coordinate DFS.  The
-Hilbert basis is computed only on request:
+chamber_points enumerates them directly by a pruned coordinate DFS: where
+the coordinates still free form a finite-type block, its inverse bounds
+the next coordinate from above and the fixed rows bound it from below,
+and the last coordinate, where every row has closed, is emitted as one
+range.  The Hilbert basis is computed only on request:
 
 1. extreme rays of the cone by the double-description method, exact
    arithmetic, primitive integer representatives;
@@ -23,7 +26,7 @@ A generator bound of height above 10 * d * max |S_ij| raises CapExceeded
 instead of starting a completion that may not finish.
 
 All of it is integer arithmetic.  Determinants and adjugates (the
-unimodularity test, the finite-type bound of the DFS) come from a
+unimodularity test, the finite-type bounds of the DFS) come from a
 fraction-free Gauss-Jordan elimination whose divisions are exact.
 """
 
@@ -156,65 +159,81 @@ def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[V
     when box is given, sorted (height, lex).
 
     A DFS fixes the coordinates in index order and keeps the partial row
-    sums rows_j = sum of s_jl x_l over the fixed l.  Three necessary
+    sums rows_j = sum of s_jl x_l over the fixed l.  Four necessary
     conditions prune it:
 
     (a) closing rows: once coordinate i fixes the last of row j's support,
         row j is final, so it bounds x_i from above (j = i) or below (j < i);
     (b) an open row with rows_j > 0 must reach <= 0 within the remaining
         height, through its most negative entry on a free coordinate;
-    (c) when the free block S_FF is positive definite (finite type), its
-        inverse is entrywise >= 0, so every free z satisfies
-        z <= u = S_FF^-1 (-rows_F): u caps the next coordinate, and a fixed
-        row j with rows_j + sum_l s_jl u_l > 0 can no longer close.
+    (c) when the free block S_FF (coordinates k and after, at depth k) is
+        positive definite (finite type), its inverse is entrywise >= 0, so
+        every free z satisfies z <= u = S_FF^-1 (-rows_F), and z_l <=
+        floor(u_l) caps each free coordinate, x_k first;
+    (d) under (c), the free coordinates after k add at least
+        sum_(l > k) s_jl floor(u_l) to a fixed row j < k, since s_jl <= 0
+        off the diagonal: x_k must cancel what is left, so
+        x_k >= ceil((rows_j + that sum) / -s_jk) when s_jk < 0, and the
+        node is dead when s_jk = 0 and what is left is positive.
 
-    Every row is checked exactly when it closes, so each leaf is a chamber
-    point.  A chamber point has (beta, beta) = sum_j beta_j (beta, alpha_j) <= 0,
-    so a positive definite S (block 0 of (c)) has none: no other block is built.
+    Every row has closed by the last coordinate, so (a) alone bounds it,
+    and the whole range of it, less the zero vector, is emitted at once.
+    The DFS emits in lex order; one stable sort by height finishes.  A
+    chamber point has (beta, beta) = sum_j beta_j (beta, alpha_j) <= 0, so
+    a positive definite S (the block of (c) at depth 0) has none: no other
+    block is built.
     """
     d, s = cm.d, cm.s
     if _finite_type_inverse(s) is not None:
         return []
     last = [max(l for l in range(d) if s[j][l]) for j in range(d)]
     closing = [[j for j in range(k + 1) if last[j] == k] for k in range(d)]
-    # most_negative[j][k]: min(0, s_jl for l >= k), the fastest a row can fall
-    most_negative = [[min((0, *row[k:])) for k in range(d + 1)] for row in s]
-    # the (c) bound at depth k, scaled to integers: free block inverses
-    blocks = [None] + [_finite_type_inverse([row[k:] for row in s[k:]]) for k in range(1, d)]
+    # falls[k][j]: min(0, s_jl for l >= k), the fastest row j can fall
+    falls = [[min((0, *row[k:])) for row in s] for k in range(d)]
+    # the (c) and (d) bounds at depth k < d - 1: free block inverses scaled
+    # to integers, and each open fixed row's s_jk with its entries after k
+    blocks = [None] + [_finite_type_inverse([row[k:] for row in s[k:]]) for k in range(1, d - 1)]
+    fixed = [[(j, s[j][k], s[j][k + 1:]) for j in range(k) if last[j] >= k] for k in range(d)]
     out: list[Vec] = []
     x = [0] * d
 
     def rec(k: int, rows: list[int], rem: int) -> None:
-        if k == d:
-            if rem < cap:
-                out.append(tuple(x))
-            return
         lo, hi = 0, rem if box is None else min(rem, box[k])
-        if blocks[k] is not None:
-            det, adj = blocks[k]
-            need = [-r for r in rows[k:]]
-            u = [sum(map(mul, arow, need)) for arow in adj]
-            if any(v < 0 for v in u) or any(
-                det * rows[j] + sum(map(mul, s[j][k:], u)) > 0 for j in range(k)
-            ):
-                return
-            hi = min(hi, u[0] // det)
         for j in closing[k]:
             if j == k:
                 hi = min(hi, -rows[k] // s[k][k])
             else:
                 lo = max(lo, -(rows[j] // s[j][k]))
+        if k == d - 1:
+            head = tuple(x[:k])
+            out.extend([(*head, v) for v in range(lo if rem < cap else max(lo, 1), hi + 1)])
+            return
+        if blocks[k] is not None:
+            det, adj = blocks[k]
+            need = [-r for r in rows[k:]]
+            free = [sum(map(mul, arow, need)) // det for arow in adj]
+            if min(free) < 0:
+                return
+            hi = min(hi, free[0])
+            del free[0]
+            for j, s_jk, tail in fixed[k]:
+                rest = rows[j] + sum(map(mul, tail, free))
+                if rest > 0:
+                    if not s_jk:
+                        return
+                    lo = max(lo, -(rest // s_jk))
+        fall = falls[k + 1]
         for v in range(lo, hi + 1):
             x[k] = v
             # S is symmetric: row k is the column that x_k multiplies
             nxt = [r + c * v for r, c in zip(rows, s[k])]
             left = rem - v
-            if all(r + left * mn[k + 1] <= 0 for r, mn in zip(nxt, most_negative)):
+            if all(r + left * f <= 0 for r, f in zip(nxt, fall)):
                 rec(k + 1, nxt, left)
-        x[k] = 0
 
     rec(0, [0] * d, cap)
-    return sorted(out, key=lambda v: (height(v), v))
+    out.sort(key=sum)
+    return out
 
 
 def hilbert_basis(cm: CartanMatrix) -> tuple[Vec, ...]:

@@ -57,7 +57,8 @@ that chain is a walk of raising moves.  The orbit's values are Weyl
 invariants, so every member is recorded with the seed's RootRecord
 object, and the table's levels are the walk's only visited set.  The walk
 carries each vector's height and pairing vector p = A beta: s_i raises
-the height iff p_i < 0, and moves p by p_i times column i of A.
+the height iff p_i < 0, and moves p by p_i times column i of A.  The
+seed's p comes from compute_all, which reads the seed's norm from it too.
 
 Integers.  With g = gcd(beta), g c(beta) = sum_{n | g} m(beta/n) g/n is
 an integer, and g divides h = ht(beta), so a(beta) = h c(beta) = gc h/g is
@@ -82,7 +83,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cartan import CartanMatrix, automorphisms, killing, rho_pair
+from .cartan import CartanMatrix, automorphisms, rho_pair
 from .chamber import chamber_points
 from .lattice import Vec, height, mobius, render, unit
 from .metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
@@ -198,8 +199,12 @@ class RootTable:
         self.cm = cm
         self.cap = cap
         self.counter = counter if counter is not None else KillingCounter()
-        self.codec = KeyCodec(cm.d, cap)
-        self.columns = tuple(zip(*cm.a))  # pingpong's update of p = A beta
+        codec = self.codec = KeyCodec(cm.d, cap)
+        # pingpong's constants, bound once per table: the codec's, then
+        # the columns of A, by which each reflection moves p = A beta
+        self.walk = (codec.shifts, codec.limit, codec.size, codec._struct.unpack,
+                     tuple(zip(*cm.a)))
+        self.scaled: dict[tuple[int, int], tuple[int, ...]] = {}  # (i, p_i) -> p_i column i
         self.levels: defaultdict[int, dict[int, RootRecord]] = defaultdict(dict)
         self.frozen: list[dict[int, tuple[int, int]]] = []  # height h at h - 1
 
@@ -235,18 +240,16 @@ class RootTable:
         """Store the vector of key, of height h, with rec, the record of its
         orbit (shared, not copied).
 
-        Raises ValueError unless the key has clear guard bits and 0 < key <
-        limit (every field a non-negative coordinate), its height read by
-        one multiply is h with 0 < h <= cap (which bounds every coordinate
-        while the multiply is exact), h is not frozen, the key is not
-        recorded yet, and rec.g is the gcd of its coordinates.
+        Raises ValueError unless 0 <= key < limit and its fields, decoded,
+        sum to h with 0 < h <= cap (so no field reaches its guard bit), h is
+        not frozen, the key is not recorded yet, and rec.g is the gcd of
+        its coordinates.  The sum is taken after the decode, not read by
+        one multiply, which wraps once the fields sum to 2^(8w).
         """
         codec = self.codec
-        if (key & codec.guard or not (0 < key < codec.limit and 0 < h <= self.cap)
-                or codec.height(key) != h):
-            shown = codec.decode(key) if 0 <= key < codec.limit else hex(key)
-            raise ValueError(f"cannot record {shown}: not positive within cap")
-        beta = codec.decode(key)
+        beta = codec.decode(key) if 0 <= key < codec.limit else None
+        if beta is None or not 0 < h <= self.cap or sum(beta) != h:
+            raise ValueError(f"cannot record {beta or hex(key)}: not positive within cap")
         level = self.levels[h]
         if key in level:
             raise ValueError(f"{beta} already recorded")
@@ -341,11 +344,14 @@ class _HalfTexts(dict):
         return text
 
 
-def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
+def pingpong(table: RootTable, seed: Vec, key: int, h: int,
+             p: tuple[int, ...] | None = None) -> list[int]:
     """Close the seed's Weyl orbit under the table's height cap, by
     ascent (module docstring, The walk).
 
-    The seed comes with its key and height.  It must be recorded (else
+    The seed comes with its key and height, and with its pairing vector p
+    = A seed when the caller has it (compute_all does; p is not checked);
+    without p, pingpong computes it.  The seed must be recorded (else
     KeyError) and must be the lowest member of its orbit: a seed with some
     p_i > 0 and seed_i >= p_i, whose image s_i(seed) is positive and
     lower, raises ValueError, since the walk would miss what lies above
@@ -365,19 +371,18 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
     record = table.levels.get(h, {}).get(key)
     if record is None:
         raise KeyError(f"pingpong seed {seed} is not recorded in the table")
-    cm, cap, codec = table.cm, table.cap, table.codec
-    p = tuple(sum(map(mul, row, seed)) for row in cm.a)
+    cm, cap = table.cm, table.cap
+    if p is None:
+        p = tuple([sum(map(mul, row, seed)) for row in cm.a])
     for i, (p_i, b_i) in enumerate(zip(p, seed)):
         if 0 < p_i <= b_i:
             raise ValueError(
                 f"pingpong seed {seed} is not the lowest member of its orbit: "
                 f"reflection {i} lowers it"
             )
-    levels, columns, frozen = table.levels, table.columns, len(table.frozen)
-    shifts, guard, limit, ones = codec.shifts, codec.guard, codec.limit, codec.ones
-    top_shift, mask, size, unpack = codec.top_shift, codec.mask, codec.size, codec._struct.unpack
+    levels, frozen, scaled = table.levels, len(table.frozen), table.scaled
+    shifts, limit, size, unpack, columns = table.walk
     g = record.g
-    scaled = {}  # (i, p_i) -> p_i * (column i of A), built on first use
 
     walk = [key]
     # Height and pairing vector of the walked vectors not yet expanded, in
@@ -396,9 +401,9 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
                 # RootTable.record's checks, inline, since a call per image
                 # costs more than they do; an image that fails one goes to
                 # record, which raises the error, so its messages live there.
-                if (image & guard or not 0 < image < limit or up <= frozen
-                        or (image * ones >> top_shift) & mask != up
-                        or gcd(*unpack(image.to_bytes(size, "big"))) != g):
+                if (image >= limit or up <= frozen
+                        or sum(coords := unpack(image.to_bytes(size, "big"))) != up
+                        or gcd(*coords) != g):
                     table.record(image, up, record)
                 level[image] = record
                 walk.append(image)
@@ -410,7 +415,7 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int) -> list[int]:
                 record.gc, record.mult
             ):
                 raise AssertionError(
-                    f"orbit member {codec.decode(image)} already recorded "
+                    f"orbit member {table.codec.decode(image)} already recorded "
                     f"with conflicting values"
                 )
     table.counter.tick(PHASE_PINGPONG, cm.d * len(walk))
@@ -547,15 +552,16 @@ def compute_all(
     at the first point of each orbit under the diagram automorphisms
     (module docstring, Automorphisms), Moebius multiplicity, and for a
     root a record and a walk of its orbit.  Each point's key, height, g =
-    gcd(beta) and norm (beta, beta) are derived once, here, and handed to
-    each of those steps; g * c comes from the sum's integer fraction by one
-    divmod.  A chamber point that is not a root must have c = 0: a nonzero
-    c would make some beta/n (n >= 2) a root, and that vector lies in the
-    chamber too, so it is imaginary and its multiple beta is a root.  A
-    violation, or a c-value whose g * c is not an integer, raises
-    NonIntegerMultiplicity.  The automorphism generators are found at the
-    first summed point, so a matrix without chamber points never searches
-    for them.
+    gcd(beta), pairing vector p = A beta and norm (beta, beta) = sum_i
+    beta_i sym_i p_i (S = diag(sym) A) are derived once, here, and handed
+    to each of those steps, p to pingpong; g * c comes from the sum's
+    integer fraction by one divmod.  A chamber point that is not a root
+    must have c = 0: a nonzero c would make some beta/n (n >= 2) a root,
+    and that vector lies in the chamber too, so it is imaginary and its
+    multiple beta is a root.  A violation, or a c-value whose g * c is not
+    an integer, raises NonIntegerMultiplicity.  The automorphism generators
+    are found at the first summed point, so a matrix without chamber
+    points never searches for them.
     """
     table = RootTable(cm, cap, counter)
     codec = table.codec
@@ -565,9 +571,11 @@ def compute_all(
 
     gens = None
     pending: dict[Vec, int] = {}  # gc of chamber points whose orbit was summed
+    a, sym = cm.a, cm.sym
     for beta in chamber_points(cm, cap):
         key, top, g = codec.encode(beta), sum(beta), gcd(*beta)
-        norm = killing(cm, beta, beta)
+        p = tuple([sum(map(mul, row, beta)) for row in a])
+        norm = sum(map(mul, map(mul, beta, sym), p))  # S = diag(sym) A
         gc = pending.pop(beta, None)
         if gc is None:
             num, den = peterson_c(table, beta, key, top, norm)
@@ -583,7 +591,7 @@ def compute_all(
         mult = mobius_mult(table, key, g, gc)
         if mult > 0:
             table.record(key, top, RootRecord(g, gc, mult, norm))
-            pingpong(table, beta, key, top)
+            pingpong(table, beta, key, top, p)
         elif gc:
             raise NonIntegerMultiplicity(
                 f"c({render(beta)}) = {_fraction(gc, g)} but m = 0 at a chamber point"

@@ -119,19 +119,44 @@ def test_chamber_points_match_brute_force_on_random_gcms(grid, cap, data):
     assert chamber_points(cm, cap, box) == expected
 
 
-@pytest.mark.parametrize("perm", [
-    (9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
-    (2, 1, 5, 3, 8, 6, 0, 9, 4, 7),
-    (4, 5, 9, 3, 8, 2, 1, 6, 7, 0),
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=5), data=st.data())
+def test_chamber_points_match_brute_force_at_rank_4_and_5(grid, data):
+    # the lower bound (d) and the last coordinate's range, where free
+    # blocks of rank 2 to 4 are finite type
+    cm = build(grid)
+    cap = data.draw(st.integers(1, 9 if cm.d <= 4 else 7))
+    box = data.draw(st.none() | st.tuples(*[st.integers(0, cap)] * cm.d))
+    expected = brute_chamber_points(cm, cap)
+    if box is not None:
+        expected = [v for v in expected if leq(v, box)]
+    assert chamber_points(cm, cap, box) == expected
+
+
+E10_PERMS = ((9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+             (2, 1, 5, 3, 8, 6, 0, 9, 4, 7),
+             (4, 5, 9, 3, 8, 2, 1, 6, 7, 0))
+E11_PERMS = ((10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+             (5, 2, 6, 0, 7, 4, 8, 9, 3, 10, 1),
+             (10, 9, 0, 6, 8, 1, 7, 5, 3, 2, 4))
+
+
+@pytest.mark.parametrize("name,cap,count,perm", [
+    *(pytest.param("e10", 80, 4, perm, id=f"perm{n}") for n, perm in enumerate(E10_PERMS)),
+    *(pytest.param("e10", 120, 10, perm, id=f"e10-120-perm{n}")
+      for n, perm in enumerate(E10_PERMS)),
+    *(pytest.param("e11", 50, 2, perm, id=f"e11-50-perm{n}") for n, perm in enumerate(E11_PERMS)),
 ])
-def test_e10_chamber_points_do_not_depend_on_node_order(perm):
-    grid = preset_matrix("e10")
-    expected = chamber_points(build(grid), 80)
+def test_e10_chamber_points_do_not_depend_on_node_order(name, cap, count, perm):
+    # a relabelling changes which free blocks are finite type, so which
+    # depths bound by (c) and (d): a check where no brute force reaches
+    grid = preset_matrix(name)
+    expected = chamber_points(build(grid), cap)
     relabelled = [[grid[p][q] for q in perm] for p in perm]
-    # node i of the relabelled matrix is node perm[i] of e10
-    got = chamber_points(build(relabelled), 80)
-    back = [tuple(v[perm.index(k)] for k in range(10)) for v in got]
-    assert len(expected) == 4
+    # node i of the relabelled matrix is node perm[i] of the preset
+    got = chamber_points(build(relabelled), cap)
+    back = [tuple(v[perm.index(k)] for k in range(len(perm))) for v in got]
+    assert len(expected) == count
     assert sorted(back, key=lambda v: (height(v), v)) == expected
 
 

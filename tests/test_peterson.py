@@ -357,6 +357,26 @@ def test_the_recurrence_holds_off_the_chamber_for_any_gcm(grid, cap):
     recurrence_off_the_chamber(grid, cap)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=4), cap=st.integers(1, 10))
+@example(grid=[[2, -3], [-6, 2]], cap=10)  # symmetrizer (2, 1)
+def test_compute_all_hands_pingpong_the_pairing_vector_of_its_norm(grid, cap):
+    # compute_all derives p = A beta once per chamber point, reads the norm
+    # from it (S = diag(sym) A) and passes it on to pingpong
+    cm = build(grid)
+    for beta in chamber_points(cm, cap):
+        p = [sum(map(mul, row, beta)) for row in cm.a]
+        assert sum(map(mul, map(mul, beta, cm.sym), p)) == killing(cm, beta, beta)
+    table = compute_all(cm, cap)
+    walk = peterson.pingpong
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(peterson, "pingpong",
+                   lambda table, seed, key, h, p=None: walk(table, seed, key, h))
+        itself = compute_all(cm, cap)
+    assert list(itself.entries.items()) == list(table.entries.items())
+    assert itself.counter.by_phase() == table.counter.by_phase()
+
+
 def test_c_value_covers_scaled_reals_without_storing():
     table = compute_all(build(AFFINE_A1), 8)
     assert (2, 0) not in table
@@ -570,6 +590,17 @@ def test_record_guards_hold_on_the_key():
             table.record(bad, h, rec)
     table.record(key, 1, rec)
     assert table.get((1, 0, 0)) is rec
+
+
+def test_record_reads_the_height_past_a_wrapping_multiply():
+    # at cap 127 a coordinate has one byte, and (127, 127, 4), of height
+    # 258, multiplies out to 258 mod 256 = 2
+    table = RootTable(build([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), 127)
+    key = table.codec.encode((127, 127, 4))
+    assert table.codec.height(key) == 2
+    with pytest.raises(ValueError, match="not positive within cap"):
+        table.record(key, 2, RootRecord(1, 1, 1, 2))
+    assert len(table) == 0
 
 
 def test_tuples_outside_the_box_reach_no_key():
