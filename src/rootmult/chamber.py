@@ -156,7 +156,8 @@ def _finite_type_inverse(block) -> tuple[int, list[list[int]]] | None:
 
 def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[Vec]:
     """All chamber lattice points of height <= cap, and <= box componentwise
-    when box is given, sorted (height, lex).
+    when box is given, sorted (height, lex); a box of the wrong length
+    raises ValueError.
 
     A DFS fixes the coordinates in index order and keeps the partial row
     sums rows_j = sum of s_jl x_l over the fixed l.  Four necessary
@@ -184,6 +185,8 @@ def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[V
     block is built.
     """
     d, s = cm.d, cm.s
+    if box is not None and len(box) != d:
+        raise ValueError("dimension mismatch")
     if _finite_type_inverse(s) is not None:
         return []
     last = [max(l for l in range(d) if s[j][l]) for j in range(d)]

@@ -27,24 +27,19 @@ Key layout.  Every vector inside the engine is one non-negative int, its
 KeyCodec key for the box [0, cap]^d.  Each coordinate gets a field of w
 bytes, w the smallest power of two with cap < 2^(8w - 1), so the top bit
 of every field (its guard bit) is clear in every key.  Coordinate 0 takes
-the most significant field, so int order is lex order.  With G the mask
-of the guard bits:
-
-- u <= beta componentwise iff (key(beta) - key(u)) & G == 0: if it holds,
-  no field borrows and each field of the difference is beta_i - u_i; if
-  not, the difference is negative or the lowest field with u_i > beta_i
-  takes no borrow from below and wraps to at least 2^(8w - 1), setting its
-  guard bit.  Either way it is the key of no vector of the box, so a
-  lookup of the partner key(beta) - key(u) misses every u not <= beta;
-- key(n gamma) = n key(gamma), so exact division by n divides gamma;
-- s_i changes only coordinate i, so an image is key - (p_i << shifts[i]);
-- the height is the top field of key * ones, exact whenever the
-  coordinates sum below 2^(8w), which holds for every vector of the box
-  with height <= cap.
+the most significant field, so int order is lex order.  A lookup of
+the partner key(beta) - key(u) misses every u not <= beta componentwise:
+for u <= beta no field borrows and each field of the difference is
+beta_i - u_i, but otherwise the difference is negative or the lowest
+field with u_i > beta_i takes no borrow from below and wraps to at least
+2^(8w - 1), setting its guard bit, so it is the key of no vector of the
+box.  key(n gamma) = n key(gamma), so exact division by n divides gamma,
+and s_i changes only coordinate i, so an image is key - (p_i << shifts[i]).
 
 Tuples appear only at the API edge (RootTable.key, get, entries, roots,
 lines_by_height, c_value, query_mult), which checks them before encoding
-and adds no level.
+and adds no level, and as compute_all's chamber points, each encoded once,
+whose coordinates pingpong (its seed) and peterson_c (its beta) read too.
 
 The walk.  pingpong walks a seed's Weyl orbit upward from its lowest
 member, a simple root or a chamber point, by the reflections that raise
@@ -58,7 +53,8 @@ invariants, so every member is recorded with the seed's RootRecord
 object, and the table's levels are the walk's only visited set.  The walk
 carries each vector's height and pairing vector p = A beta: s_i raises
 the height iff p_i < 0, and moves p by p_i times column i of A.  The
-seed's p comes from compute_all, which reads the seed's norm from it too.
+seed's p comes from compute_all: column i of A for alpha_i, and for a
+chamber point the p its norm is read from.
 
 Integers.  With g = gcd(beta), g c(beta) = sum_{n | g} m(beta/n) g/n is
 an integer, and g divides h = ht(beta), so a(beta) = h c(beta) = gc h/g is
@@ -85,7 +81,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, rho_pair
 from .chamber import chamber_points
-from .lattice import Vec, height, mobius, render, unit
+from .lattice import Vec, mobius, render, unit
 from .metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
 
 if TYPE_CHECKING:
@@ -120,12 +116,8 @@ class KeyCodec:
             w *= 2
         bits = 8 * w
         self.size = w * d
-        self.top_shift = bits * (d - 1)
-        self.shifts = tuple(range(self.top_shift, -1, -bits))  # coordinate i's field
-        self.mask = (1 << bits) - 1
+        self.shifts = tuple(range(bits * (d - 1), -1, -bits))  # coordinate i's field
         self.limit = 1 << (bits * d)
-        self.ones = (self.limit - 1) // self.mask  # 1 in every field
-        self.guard = self.ones << (bits - 1)  # the top bit of every field
         self._struct = struct.Struct(f">{d}{'BHIQ'[w.bit_length() - 1]}")
 
     def encode(self, v: Vec) -> int:
@@ -133,9 +125,6 @@ class KeyCodec:
 
     def decode(self, key: int) -> Vec:
         return self._struct.unpack(key.to_bytes(self.size, "big"))
-
-    def height(self, key: int) -> int:
-        return (key * self.ones >> self.top_shift) & self.mask
 
 
 class NonIntegerMultiplicity(ArithmeticError):
@@ -243,8 +232,7 @@ class RootTable:
         Raises ValueError unless 0 <= key < limit and its fields, decoded,
         sum to h with 0 < h <= cap (so no field reaches its guard bit), h is
         not frozen, the key is not recorded yet, and rec.g is the gcd of
-        its coordinates.  The sum is taken after the decode, not read by
-        one multiply, which wraps once the fields sum to 2^(8w).
+        its coordinates.
         """
         codec = self.codec
         beta = codec.decode(key) if 0 <= key < codec.limit else None
@@ -297,16 +285,18 @@ class RootTable:
 
     def lines_by_height(self, fmt: str):
         """One row per recorded vector (coords, height, norm, c in lowest
-        terms, mult, kind), as CSV lines (no header) if fmt is "csv", else
-        as JSON lines with sorted keys, one str per height in (height, lex)
-        order.  Norms come from the records, so exporting evaluates no
-        form.  A record's text around the coordinates and height is
-        formatted once, and each height builds one line template per record
-        present.  The coordinates come from two halves of the key, its high
-        ceil(d/2) fields (key >> shift) and its low floor(d/2) fields (key &
-        low_mask, empty at rank 1), each distinct half formatted once for
-        the whole export: at e10@80, 584 high and 509 low halves serve
-        15,627 rows."""
+        terms, mult, kind), as CSV lines (no header) if fmt is "csv" or
+        JSON lines with sorted keys if "json" (else ValueError), one str
+        per height in (height, lex) order.  Norms come from the records, so
+        exporting evaluates no form.  A record's text around the coordinates
+        and height is formatted once, and each height builds one line
+        template per record present.  The coordinates come from two halves
+        of the key, its high ceil(d/2) fields (key >> shift) and its low
+        floor(d/2) fields (key & low_mask, empty at rank 1), each distinct
+        half formatted once for the whole export: at e10@80, 584 high and
+        509 low halves serve 15,627 rows."""
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"unknown format {fmt!r}")
         levels, parts = self.levels, {}
         for rec in {rec for level in levels.values() for rec in level.values()}:
             g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
@@ -344,14 +334,12 @@ class _HalfTexts(dict):
         return text
 
 
-def pingpong(table: RootTable, seed: Vec, key: int, h: int,
-             p: tuple[int, ...] | None = None) -> list[int]:
+def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) -> list[int]:
     """Close the seed's Weyl orbit under the table's height cap, by
     ascent (module docstring, The walk).
 
-    The seed comes with its key and height, and with its pairing vector p
-    = A seed when the caller has it (compute_all does; p is not checked);
-    without p, pingpong computes it.  The seed must be recorded (else
+    The seed comes with its key, height and pairing vector p = A seed;
+    p is required and not checked.  The seed must be recorded (else
     KeyError) and must be the lowest member of its orbit: a seed with some
     p_i > 0 and seed_i >= p_i, whose image s_i(seed) is positive and
     lower, raises ValueError, since the walk would miss what lies above
@@ -372,8 +360,6 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int,
     if record is None:
         raise KeyError(f"pingpong seed {seed} is not recorded in the table")
     cm, cap = table.cm, table.cap
-    if p is None:
-        p = tuple([sum(map(mul, row, seed)) for row in cm.a])
     for i, (p_i, b_i) in enumerate(zip(p, seed)):
         if 0 < p_i <= b_i:
             raise ValueError(
@@ -430,7 +416,7 @@ def _edge_key(table: RootTable, beta: Vec) -> tuple[int, int] | None:
         raise ValueError("dimension mismatch")
     if min(beta) < 0 or not any(beta):
         return None
-    h = height(beta)
+    h = sum(beta)
     if h > table.cap:
         raise HeightExceedsCap(f"height {h} exceeds table cap {table.cap}")
     return table.codec.encode(beta), h
@@ -511,9 +497,10 @@ def _scales(top: int) -> tuple[int, tuple[int, ...]]:
     return common, tuple([common // den for den in dens])
 
 
-def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
+def mobius_mult(table: RootTable, key: int, h: int, g: int, gc: int) -> int:
     """Multiplicity of beta, the vector of key, by Moebius inversion along
-    the divisors of g = gcd(beta), given gc = g c(beta):
+    the divisors of g = gcd(beta), given its height h from the caller and
+    gc = g c(beta):
 
         h m(beta) = sum_{n | g} mu(n) a(beta/n),  h = ht(beta),
 
@@ -523,7 +510,6 @@ def mobius_mult(table: RootTable, key: int, g: int, gc: int) -> int:
     Raises NonIntegerMultiplicity if the result is not a non-negative
     integer, which would mean an upstream bug.
     """
-    h = table.codec.height(key)
     total = gc * (h // g)
     for n in range(2, g + 1):
         if g % n == 0:
@@ -565,9 +551,10 @@ def compute_all(
     """
     table = RootTable(cm, cap, counter)
     codec = table.codec
-    for i, shift in enumerate(codec.shifts):  # a walk never comes back to height 1
+    # a walk never comes back to height 1; A alpha_i is column i of A
+    for i, (shift, column) in enumerate(zip(codec.shifts, zip(*cm.a))):
         table.record(1 << shift, 1, RootRecord(1, 1, 1, cm.s[i][i]))
-        pingpong(table, unit(cm.d, i), 1 << shift, 1)
+        pingpong(table, unit(cm.d, i), 1 << shift, 1, column)
 
     gens = None
     pending: dict[Vec, int] = {}  # gc of chamber points whose orbit was summed
@@ -588,7 +575,7 @@ def compute_all(
                 gens = automorphisms(cm)
             for image in _images(beta, gens):
                 pending[image] = gc
-        mult = mobius_mult(table, key, g, gc)
+        mult = mobius_mult(table, key, top, g, gc)
         if mult > 0:
             table.record(key, top, RootRecord(g, gc, mult, norm))
             pingpong(table, beta, key, top, p)

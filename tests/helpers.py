@@ -8,6 +8,7 @@ import os
 import sys
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -92,9 +93,10 @@ def record(table, beta, gc=1, mult=1):
 
 
 def walk_from(table, seed):
-    """pingpong from the tuple seed, given its key and height as
-    compute_all hands them down."""
-    return pingpong(table, seed, table.key(seed), sum(seed))
+    """pingpong from the tuple seed, given its key, height and pairing
+    vector A seed as compute_all hands them down."""
+    p = tuple(sum(map(mul, row, seed)) for row in table.cm.a)
+    return pingpong(table, seed, table.key(seed), sum(seed), p)
 
 
 def reflect_walk(cm, cap, seed, seen):

@@ -99,6 +99,13 @@ def test_chamber_points_examples():
     assert chamber_points(build(A2), 30) == []
 
 
+def test_chamber_points_refuses_a_box_of_the_wrong_length():
+    # also at finite type, which has no chamber points
+    for grid, box in ((HYP3, (3, 3, 0)), (HYP3, (3,)), (A2, (3,))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            chamber_points(build(grid), 6, box)
+
+
 @pytest.mark.parametrize("grid,cap", [(HYP3, 12), (AFFINE_A1, 12), (AFFINE_A2, 10),
                                       (HYP3D, 9), ([[2, -1], [-3, 2]], 12)])
 def test_chamber_points_matches_brute_force(grid, cap):

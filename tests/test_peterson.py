@@ -26,7 +26,7 @@ from rootmult import (
     subroots,
 )
 from rootmult import peterson
-from rootmult.lattice import height, mobius, vsub
+from rootmult.lattice import height, mobius, unit, vsub
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
@@ -76,7 +76,7 @@ def test_mobius_mult_examples():
     assert table.get((1, 1)).mult == 1       # gcd 1: m = c
     assert table.get((3, 3)).mult == 1
     gc = table.get((3, 3)).gc
-    assert table.get((3, 3)).c == mobius_mult(table, table.key((3, 3)), 3, gc) + Fraction(1, 3)
+    assert table.get((3, 3)).c == mobius_mult(table, table.key((3, 3)), 6, 3, gc) + Fraction(1, 3)
 
 
 def test_non_integer_gc_at_a_chamber_point_raises(monkeypatch):
@@ -98,11 +98,11 @@ def test_mobius_mult_raises_on_negative_or_indivisible_sum():
     key = table.key((2, 2))
     with pytest.raises(NonIntegerMultiplicity,
                        match=re.escape("m((2,2)) = -1/2 is not a non-negative integer")):
-        mobius_mult(table, key, 2, 0)   # 2 m = -1
+        mobius_mult(table, key, 4, 2, 0)   # 2 m = -1
     with pytest.raises(NonIntegerMultiplicity,
                        match=re.escape("m((2,2)) = 1/2 is not a non-negative integer")):
-        mobius_mult(table, key, 2, 2)   # 2 m = 1
-    assert mobius_mult(table, key, 2, 3) == 1
+        mobius_mult(table, key, 4, 2, 2)   # 2 m = 1
+    assert mobius_mult(table, key, 4, 2, 3) == 1
 
 
 @pytest.mark.parametrize("name,cap", [("affine-a1", 60), ("hyp-2-3", 100)])
@@ -123,7 +123,7 @@ def test_mobius_mult_matches_the_fraction_inversion(name, cap):
             if rec:
                 expected += Fraction(mobius(n), n) * rec.c
         rec = table.get(beta)
-        assert mobius_mult(table, table.key(beta), g, rec.gc if rec else 0) == expected
+        assert mobius_mult(table, table.key(beta), sum(beta), g, rec.gc if rec else 0) == expected
     assert max(gs) == cap // 2  # (30, 30) on affine-a1: mu(30) = -1 is reached
 
 
@@ -137,7 +137,7 @@ def test_mobius_mult_raises_on_a_doctored_frozen_entry(monkeypatch, a, shown):
     monkeypatch.setitem(table.frozen[1], half, (a, 0))
     with pytest.raises(NonIntegerMultiplicity,
                        match=re.escape(f"m((2,2)) = {shown} is not a non-negative integer")):
-        mobius_mult(table, table.key((2, 2)), 2, table.get((2, 2)).gc)
+        mobius_mult(table, table.key((2, 2)), 4, 2, table.get((2, 2)).gc)
 
 
 @pytest.mark.parametrize("name,cap", [("e11", 40), ("hyp-2-3", 100)])
@@ -286,7 +286,9 @@ def test_entries_not_below_beta_miss_the_lookup(monkeypatch, grid, cap, kinds):
 
     def checked(table, beta, key, top, norm):
         result = original(table, beta, key, top, norm)
-        guard, levels, frozen = table.codec.guard, table.levels, table.frozen
+        bits = 8 * table.codec.size // table.cm.d
+        guard = sum(1 << (s + bits - 1) for s in table.codec.shifts)  # each field's top bit
+        levels, frozen = table.levels, table.frozen
         for h in range(1, top // 2 + 1):
             for ku in frozen[h - 1]:
                 kv = key - ku
@@ -362,19 +364,23 @@ def test_the_recurrence_holds_off_the_chamber_for_any_gcm(grid, cap):
 @example(grid=[[2, -3], [-6, 2]], cap=10)  # symmetrizer (2, 1)
 def test_compute_all_hands_pingpong_the_pairing_vector_of_its_norm(grid, cap):
     # compute_all derives p = A beta once per chamber point, reads the norm
-    # from it (S = diag(sym) A) and passes it on to pingpong
+    # from it (S = diag(sym) A) and passes it on to pingpong, as it passes
+    # column i of A with the simple root alpha_i
     cm = build(grid)
     for beta in chamber_points(cm, cap):
         p = [sum(map(mul, row, beta)) for row in cm.a]
         assert sum(map(mul, map(mul, beta, cm.sym), p)) == killing(cm, beta, beta)
-    table = compute_all(cm, cap)
-    walk = peterson.pingpong
+    walk, seeds = peterson.pingpong, []
+
+    def checked(table, seed, key, h, p):
+        assert tuple(p) == tuple(sum(map(mul, row, seed)) for row in cm.a)
+        seeds.append(seed)
+        return walk(table, seed, key, h, p)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(peterson, "pingpong",
-                   lambda table, seed, key, h, p=None: walk(table, seed, key, h))
-        itself = compute_all(cm, cap)
-    assert list(itself.entries.items()) == list(table.entries.items())
-    assert itself.counter.by_phase() == table.counter.by_phase()
+        mp.setattr(peterson, "pingpong", checked)
+        compute_all(cm, cap)
+    assert seeds[:cm.d] == [unit(cm.d, i) for i in range(cm.d)]
 
 
 def test_c_value_covers_scaled_reals_without_storing():
@@ -397,13 +403,13 @@ def test_nonzero_c_without_multiplicity_is_an_integrity_error(monkeypatch):
     # inversion ever reports m = 0 there, the run stops instead of
     # recording the point.
     original = peterson.mobius_mult
-    monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda table, key, g, gc: 0)
+    monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda table, key, h, g, gc: 0)
     with pytest.raises(NonIntegerMultiplicity,
                        match=re.escape("c((1,1)) = 1 but m = 0 at a chamber point")):
         compute_all(build(AFFINE_A1), 4)
     # only at g = 2, so the first failure is (2, 2), where c = 3/2
-    monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda table, key, g, gc:
-                        0 if g == 2 else original(table, key, g, gc))
+    monkeypatch.setattr("rootmult.peterson.mobius_mult", lambda table, key, h, g, gc:
+                        0 if g == 2 else original(table, key, h, g, gc))
     with pytest.raises(NonIntegerMultiplicity,
                        match=re.escape("c((2,2)) = 3/2 but m = 0 at a chamber point")):
         compute_all(build(AFFINE_A1), 4)
@@ -597,7 +603,6 @@ def test_record_reads_the_height_past_a_wrapping_multiply():
     # 258, multiplies out to 258 mod 256 = 2
     table = RootTable(build([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), 127)
     key = table.codec.encode((127, 127, 4))
-    assert table.codec.height(key) == 2
     with pytest.raises(ValueError, match="not positive within cap"):
         table.record(key, 2, RootRecord(1, 1, 1, 2))
     assert len(table) == 0
@@ -635,7 +640,7 @@ def test_levels_hold_each_record_once_and_edge_reads_add_no_level(grid, cap):
     table = compute_all(cm, cap)
     for h, level in table.levels.items():
         assert 1 <= h <= cap
-        assert all(table.codec.height(k) == h for k in level)
+        assert all(sum(table.codec.decode(k)) == h for k in level)
     text = "".join(table.lines_by_height("csv"))
     assert len(table) == len(table.entries) == text.count("\n")
     heights = set(table.levels)
@@ -681,6 +686,14 @@ def test_csv_lines_sorted_and_schema():
     keys = [(int(row[1]), tuple(map(int, row[0].split(";")))) for row in rows]
     assert keys == sorted(keys) and len(keys) == len(table)
     assert ["1;1", "2", "0", "1/1", "1", "imaginary"] in rows
+
+
+def test_lines_by_height_refuses_an_unknown_format():
+    # "csv" and "json" only: an upper-case or unknown name is not JSON
+    table = compute_all(build(AFFINE_A1), 5)
+    for fmt in ("CSV", "JSON", "xml", ""):
+        with pytest.raises(ValueError, match="unknown format"):
+            list(table.lines_by_height(fmt))
 
 
 def test_ha1_level_one_multiplicities_are_partition_numbers():

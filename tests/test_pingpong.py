@@ -105,7 +105,7 @@ def test_pingpong_checks_g_on_each_new_image():
     key = table.codec.encode((1, 0))
     table.levels[1][key] = RootRecord(2, 2, 1, 2)
     with pytest.raises(ValueError, match=r"cannot record \(1, 1\) with g = 2"):
-        pingpong(table, (1, 0), key, 1)
+        pingpong(table, (1, 0), key, 1, (2, -1))
     assert len(table) == 1
 
 
@@ -117,7 +117,7 @@ def test_pingpong_refuses_an_image_of_a_frozen_height():
     key = record(table, (1, 0))
     table.freeze(2)
     with pytest.raises(ValueError, match=r"cannot record \(1, 1\): height 2 is frozen"):
-        pingpong(table, (1, 0), key, 1)
+        pingpong(table, (1, 0), key, 1, (2, -1))
     assert len(table) == 1
 
 
