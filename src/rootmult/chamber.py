@@ -170,7 +170,9 @@ def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[V
     (c) when the free block S_FF (coordinates k and after, at depth k) is
         positive definite (finite type), its inverse is entrywise >= 0, so
         every free z satisfies z <= u = S_FF^-1 (-rows_F), and z_l <=
-        floor(u_l) caps each free coordinate, x_k first;
+        floor(u_l) caps each free coordinate, x_k first.  No cap is
+        negative: a free row j >= k sums s_jl x_l over fixed l < k only,
+        all off the diagonal, so rows_j <= 0 and u >= 0;
     (d) under (c), the free coordinates after k add at least
         sum_(l > k) s_jl floor(u_l) to a fixed row j < k, since s_jl <= 0
         off the diagonal: x_k must cancel what is left, so
@@ -215,8 +217,6 @@ def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[V
             det, adj = blocks[k]
             need = [-r for r in rows[k:]]
             free = [sum(map(mul, arow, need)) // det for arow in adj]
-            if min(free) < 0:
-                return
             hi = min(hi, free[0])
             del free[0]
             for j, s_jk, tail in fixed[k]:

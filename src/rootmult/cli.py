@@ -26,7 +26,7 @@ from . import __version__
 from .cartan import NotGCM, NotSymmetrizable, build
 from .chamber import CapExceeded, hilbert_basis
 from .metrics import KillingCounter, counter_snapshot
-from .peterson import MAX_CAP, NonIntegerMultiplicity, compute_all
+from .peterson import CSV_HEADER, MAX_CAP, NonIntegerMultiplicity, compute_all
 from .presets import PRESET_NAMES, preset_matrix
 
 ORACLE_MAX_RANK = 3
@@ -95,7 +95,7 @@ def load_config(argv=None) -> argparse.Namespace:
 def write_table(table, fmt: str, stream) -> None:
     """Write the table's rows as CSV or JSON lines, one height per write."""
     if fmt == "csv":
-        stream.write("coords,height,norm,c,mult,kind\n")
+        stream.write(CSV_HEADER)
     for text in table.lines_by_height(fmt):
         stream.write(text)
 

@@ -76,7 +76,7 @@ import struct
 from collections import defaultdict, deque
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, rho_pair
@@ -91,6 +91,7 @@ KIND_REAL = "real"
 KIND_IMAGINARY = "imaginary"
 
 MAX_CAP = (1 << 63) - 1  # the widest field KeyCodec packs is 8 bytes
+CSV_HEADER = "coords,height,norm,c,mult,kind\n"  # above RootTable.lines_by_height's CSV rows
 
 
 def _fraction(num: int, den: int = 1) -> Fraction:
@@ -104,8 +105,8 @@ class KeyCodec:
     """One non-negative int per vector of the box [0, cap]^d (module
     docstring, Key layout); a cap above MAX_CAP raises ValueError.
 
-    encode does not check its input: callers ensure 0 <= v_i <= cap (the
-    root table's key() does).  decode is one struct unpack.
+    encode, one pack, does not check its input: callers ensure 0 <= v_i <=
+    cap (the root table's key() does).  decode is one unpack, as in pingpong.
     """
 
     def __init__(self, d: int, cap: int):
@@ -118,13 +119,14 @@ class KeyCodec:
         self.size = w * d
         self.shifts = tuple(range(bits * (d - 1), -1, -bits))  # coordinate i's field
         self.limit = 1 << (bits * d)
-        self._struct = struct.Struct(f">{d}{'BHIQ'[w.bit_length() - 1]}")
+        fields = struct.Struct(f">{d}{'BHIQ'[w.bit_length() - 1]}")
+        self.pack, self.unpack = fields.pack, fields.unpack
 
     def encode(self, v: Vec) -> int:
-        return int.from_bytes(self._struct.pack(*v), "big")
+        return int.from_bytes(self.pack(*v), "big")
 
     def decode(self, key: int) -> Vec:
-        return self._struct.unpack(key.to_bytes(self.size, "big"))
+        return self.unpack(key.to_bytes(self.size, "big"))
 
 
 class NonIntegerMultiplicity(ArithmeticError):
@@ -172,8 +174,9 @@ class RootTable:
     """Graded store of every discovered vector with its orbit's RootRecord.
 
     The engine's one state object: it carries the Cartan matrix, the cap,
-    the counter of its run and the KeyCodec of the box [0, cap]^d, and
-    levels, its one store of records: height -> {key -> RootRecord}.  A
+    the counter of its run, the KeyCodec of the box [0, cap]^d, moves,
+    pingpong's cache (i, p_i) -> p_i times column i of A, and levels, its
+    one store of records: height -> {key -> RootRecord}.  A
     read by the walk may add an empty level in 1..cap, which exports
     nothing.  frozen[h - 1], built by freeze, maps each vector of height h
     with c = a/h != 0 to (a, norm).  compute_all fills the table; once it
@@ -188,12 +191,8 @@ class RootTable:
         self.cm = cm
         self.cap = cap
         self.counter = counter if counter is not None else KillingCounter()
-        codec = self.codec = KeyCodec(cm.d, cap)
-        # pingpong's constants, bound once per table: the codec's, then
-        # the columns of A, by which each reflection moves p = A beta
-        self.walk = (codec.shifts, codec.limit, codec.size, codec._struct.unpack,
-                     tuple(zip(*cm.a)))
-        self.scaled: dict[tuple[int, int], tuple[int, ...]] = {}  # (i, p_i) -> p_i column i
+        self.codec = KeyCodec(cm.d, cap)
+        self.moves: dict[tuple[int, int], tuple[int, ...]] = {}  # (i, p_i) -> p_i column i
         self.levels: defaultdict[int, dict[int, RootRecord]] = defaultdict(dict)
         self.frozen: list[dict[int, tuple[int, int]]] = []  # height h at h - 1
 
@@ -285,40 +284,35 @@ class RootTable:
 
     def lines_by_height(self, fmt: str):
         """One row per recorded vector (coords, height, norm, c in lowest
-        terms, mult, kind), as CSV lines (no header) if fmt is "csv" or
-        JSON lines with sorted keys if "json" (else ValueError), one str
-        per height in (height, lex) order.  Norms come from the records, so
-        exporting evaluates no form.  A record's text around the coordinates
-        and height is formatted once, and each height builds one line
-        template per record present.  The coordinates come from two halves
-        of the key, its high ceil(d/2) fields (key >> shift) and its low
-        floor(d/2) fields (key & low_mask, empty at rank 1), each distinct
-        half formatted once for the whole export: at e10@80, 584 high and
-        509 low halves serve 15,627 rows."""
+        terms, mult, kind), as CSV lines under CSV_HEADER (not included) if
+        fmt is "csv" or JSON lines with sorted keys if "json" (else
+        ValueError), one str per height in (height, lex) order.  Norms come
+        from the records, so exporting evaluates no form.  Each height
+        formats one row template per record present, with %s%s where the
+        two halves of the coordinates go: the key's high ceil(d/2) fields
+        (key >> shift) and its low floor(d/2) fields (key & low_mask, empty
+        at rank 1), each distinct half formatted once for the whole
+        export: at e10@80, 584 high and 509 low halves serve 15,627 rows."""
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
-        levels, parts = self.levels, {}
-        for rec in {rec for level in levels.values() for rec in level.values()}:
+
+        def template(rec: RootRecord, h: int) -> str:
             g = gcd(rec.gc, rec.g)  # c = gc/g in lowest terms
             c = f"{rec.gc // g}/{rec.g // g}"
             if fmt == "csv":
-                parts[rec] = "", f",{rec.norm},{c},{rec.mult},{rec.kind}\n"
-            else:
-                parts[rec] = (f'{{"c": "{c}", "coords": [',
-                              f'"kind": "{rec.kind}", "mult": {rec.mult}, "norm": {rec.norm}}}\n')
-        sep, middle = (";", ",%d") if fmt == "csv" else (", ", '], "height": %d, ')
+                return f"%s%s,{h},{rec.norm},{c},{rec.mult},{rec.kind}\n"
+            return (f'{{"c": "{c}", "coords": [%s%s], "height": {h}, '
+                    f'"kind": "{rec.kind}", "mult": {rec.mult}, "norm": {rec.norm}}}\n')
+
+        sep = ";" if fmt == "csv" else ", "
         d, n = self.cm.d, (self.cm.d + 1) // 2  # n high fields, d - n low ones
         shift = self.codec.shifts[n - 1]  # the low fields lie below it
         low_mask = (1 << shift) - 1
         highs = _HalfTexts(sep.join(["%d"] * n), n, self.cap)
         lows = _HalfTexts((sep + "%d") * (d - n), d - n, self.cap)
-        for h, level in sorted(levels.items()):
-            row = "%s%s" + middle % h
-            template = {}
-            for rec in set(level.values()):
-                head, tail = parts[rec]
-                template[rec] = head + row + tail
-            yield "".join([template[level[k]] % (highs[k >> shift], lows[k & low_mask])
+        for h, level in sorted(self.levels.items()):
+            rows = {rec: template(rec, h) for rec in set(level.values())}
+            yield "".join([rows[level[k]] % (highs[k >> shift], lows[k & low_mask])
                            for k in sorted(level)])
 
 
@@ -354,7 +348,9 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) 
     ([] on a second run): the walk's own list less its seed, not a copy,
     which at E10's first walk would add its size to the peak RSS.  Ticks
     d * len(walk) pingpong forms, the seed's included, on table.counter
-    once, at its end.
+    once, at its end.  Its key constants come from table.codec, and each
+    move of p, p_i times column i of A, from the rows of A, once per (i,
+    p_i) into table.moves.
     """
     record = table.levels.get(h, {}).get(key)
     if record is None:
@@ -366,8 +362,9 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) 
                 f"pingpong seed {seed} is not the lowest member of its orbit: "
                 f"reflection {i} lowers it"
             )
-    levels, frozen, scaled = table.levels, len(table.frozen), table.scaled
-    shifts, limit, size, unpack, columns = table.walk
+    levels, frozen, moves, a = table.levels, len(table.frozen), table.moves, cm.a
+    codec = table.codec
+    shifts, limit, size, unpack = codec.shifts, codec.limit, codec.size, codec.unpack
     g = record.g
 
     walk = [key]
@@ -393,15 +390,15 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) 
                     table.record(image, up, record)
                 level[image] = record
                 walk.append(image)
-                col = scaled.get((i, p_i))
-                if col is None:
-                    col = scaled[i, p_i] = tuple([p_i * a for a in columns[i]])
-                frontier.append((up, tuple(map(sub, p, col))))
+                move = moves.get((i, p_i))
+                if move is None:  # maps: a comprehension would make i and p_i closure cells
+                    move = moves[i, p_i] = tuple(map(p_i.__mul__, map(itemgetter(i), a)))
+                frontier.append((up, tuple(map(sub, p, move))))
             elif existing is not record and (existing.gc, existing.mult) != (
                 record.gc, record.mult
             ):
                 raise AssertionError(
-                    f"orbit member {table.codec.decode(image)} already recorded "
+                    f"orbit member {codec.decode(image)} already recorded "
                     f"with conflicting values"
                 )
     table.counter.tick(PHASE_PINGPONG, cm.d * len(walk))

@@ -201,6 +201,8 @@ def test_scaled_form_scales_outputs():
         gamma = tuple(rng.randrange(-4, 5) for _ in range(2))
         assert killing(doubled, beta, gamma) == 2 * killing(cm, beta, gamma)
         assert rho_pair(doubled, beta) == 2 * rho_pair(cm, beta)
+    with pytest.raises(ValueError, match="positive integer"):
+        cm.scaled(0)
 
 
 def test_cartan_matrix_is_an_immutable_hashable_record():

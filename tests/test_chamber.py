@@ -36,6 +36,8 @@ def test_in_chamber_examples():
     assert in_chamber(cm, (3, 2))       # rows give 0, -5
     assert not in_chamber(cm, (0, 0))
     assert not in_chamber(cm, (-1, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        in_chamber(cm, (1, 1, 1))
 
 
 def test_extreme_rays_small_cases():

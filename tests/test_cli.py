@@ -20,7 +20,8 @@ from rootmult import (
     preset_matrix,
 )
 from rootmult.metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
-from rootmult.peterson import MAX_CAP
+from rootmult.peterson import MAX_CAP, NonIntegerMultiplicity
+from rootmult.presets import tree_matrix
 from helpers import CLI_ENV, HYP3, ROOTMULT, brute_real_roots, symmetrizable_gcms
 
 
@@ -291,15 +292,61 @@ def test_bad_height_exits_2():
 
 def test_unknown_preset_exits_2():
     run_cli("--preset", "nope", "--height", "3", "--quiet", expect=2)
+    with pytest.raises(ValueError, match="need p, q, r >= 2"):
+        tree_matrix(1, 3, 7)
 
 
 @pytest.mark.parametrize("name", ["hyp-2-+3", "hyp-2-03", "hyp-2- 3", "hyp-2-3 ",
-                                  "hyp-2-\u0663", "hyp-2-1_0", "hyp-2-0", "hyp-2--3"])
+                                  "hyp-2-\u0663", "hyp-2-1_0", "hyp-2-0", "hyp-2--3",
+                                  "hyp-2-x"])
 def test_noncanonical_preset_name_exits_2(name, capsys):
     assert cli.main(["--preset", name, "--height", "3"]) == 2
     assert capsys.readouterr().err == f"error: unknown preset {name!r}\n"
     with pytest.raises(ValueError, match="unknown preset"):
         preset_matrix(name)
+
+
+def raise_mult(table, keep=lambda beta: True):
+    """table with the multiplicity of each recorded vector keep accepts
+    raised by one, so that the oracle disagrees there."""
+    for level in table.levels.values():
+        for key, rec in level.items():
+            if keep(table.codec.decode(key)):
+                level[key] = rec._replace(mult=rec.mult + 1)
+    return table
+
+
+def test_oracle_disagreement_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "compute_all", lambda *args: raise_mult(
+        compute_all(*args), lambda beta: beta == (1, 1)))
+    assert cli.main(["--preset", "hyp-2-3", "--height", "10", "--oracle-check"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "oracle disagreement on 1 point(s):",
+        "  {'coords': (1, 1), 'engine': (Fraction(1, 1), 2), 'oracle': (Fraction(1, 1), 1)}",
+    ]
+
+
+def test_oracle_disagreement_lists_at_most_10_points(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "compute_all", lambda *args: raise_mult(compute_all(*args)))
+    assert cli.main(["--preset", "hyp-2-3", "--height", "10", "--oracle-check"]) == 4
+    head, *details = capsys.readouterr().err.splitlines()
+    assert head == f"oracle disagreement on {len(compute_all(build(HYP3), 10))} point(s):"
+    assert len(details) == 10 and all(line.startswith("  {'coords': ") for line in details)
+
+
+def fail_integrality(*args):
+    raise NonIntegerMultiplicity("m(1;1) = 1/2 is not a non-negative integer")
+
+
+@pytest.mark.parametrize("target,message", [
+    ("rootmult.cli.compute_all", "internal integrality failure: "),
+    ("rootmult.oracle.naive_compute", "internal integrality failure in oracle: "),
+])
+def test_integrality_failure_exits_5(target, message, monkeypatch, capsys):
+    monkeypatch.setattr(target, fail_integrality)
+    assert cli.main(["--preset", "hyp-2-3", "--height", "10", "--oracle-check"]) == 5
+    assert capsys.readouterr().err == (
+        message + "m(1;1) = 1/2 is not a non-negative integer\n")
 
 
 def test_deeply_nested_matrix_file_exits_2(tmp_path):

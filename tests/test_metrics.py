@@ -10,6 +10,7 @@ from rootmult import (
     naive_compute,
 )
 from rootmult.metrics import PHASE_ORACLE, PHASE_PINGPONG, PHASE_SUM
+from rootmult.peterson import MAX_CAP
 from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D
 
 
@@ -80,6 +81,13 @@ def test_snapshot_report_shape():
     assert report["oracle"] is None
     assert report["ratio"] > 1
     assert set(report["phases"]) == {PHASE_PINGPONG, PHASE_SUM}
+    # Past the float range the quotient is None: 2 I of rank 20 has only
+    # its simple roots, but the closed-form naive cost at the largest
+    # height has 712 digits.
+    wide = counter_snapshot(compute_all(build([[2 * (i == j) for j in range(20)]
+                                               for i in range(20)]), MAX_CAP))
+    assert wide["k_ascent"] == 400 and len(str(wide["k_naive_closed"])) == 712
+    assert wide["ratio"] is None
 
     oracle_tab = naive_compute(cm, 8)
     oreport = counter_snapshot(oracle_tab)

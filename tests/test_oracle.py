@@ -90,6 +90,8 @@ def test_oracle_counts_only_oracle_phase():
     counter = KillingCounter()
     naive_compute(build(A2), 5, counter)
     assert set(counter.by_phase()) == {PHASE_ORACLE}
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        naive_compute(build(A2), 0, counter)
 
 
 def test_oracle_tables_share_no_state_and_tick_the_given_counter():

@@ -30,6 +30,7 @@ from rootmult.lattice import height, mobius, unit, vsub
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
+    MAX_CAP,
     RootRecord,
     RootTable,
     ZeroDenominator,
@@ -579,6 +580,10 @@ def test_table_record_guards():
         record(table, (2, 2))
     with pytest.raises(ValueError):
         RootTable(cm, 0)
+    # keys pack each coordinate in at most 8 bytes; the CLI refuses such a
+    # height before building a table, library callers reach this check
+    with pytest.raises(ValueError, match="above"):
+        RootTable(cm, MAX_CAP + 1)
 
 
 def test_record_guards_hold_on_the_key():
