@@ -12,15 +12,17 @@ the next coordinate from above and the fixed rows bound it from below,
 and the last coordinate, where every row has closed, is emitted as one
 range.  The Hilbert basis is computed only on request:
 
-1. extreme rays of the cone by the double-description method, exact
-   arithmetic, primitive integer representatives;
+1. extreme rays of the cone by the double-description method, as
+   primitive integer vectors, each carrying its tight set (the constraints
+   it meets with equality) from one facet to the next;
 2. shortcut: a single ray generates alone, and a simplicial cone whose
    ray matrix has determinant +-1 is generated freely by its rays (this
    covers the finite, affine and classic hyperbolic cases);
 3. otherwise a bounded graded completion: every irreducible lattice point
    lies componentwise under the sum of the extreme rays, so enumerate the
    chamber points of that box in (height, lex) order and keep each point
-   that no earlier generator reduces.
+   beta such that no beta - g, g an earlier generator, is a point already
+   enumerated.
 
 A generator bound of height above 10 * d * max |S_ij| raises CapExceeded
 instead of starting a completion that may not finish.
@@ -36,7 +38,7 @@ from math import gcd
 from operator import mul
 
 from .cartan import CartanMatrix
-from .lattice import Vec, height, leq, vsub
+from .lattice import Vec, height, unit, vsub
 
 
 class CapExceeded(RuntimeError):
@@ -62,56 +64,41 @@ def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def extreme_rays(cm: CartanMatrix) -> list[Vec]:
-    """Extreme rays of the chamber cone as primitive integer vectors.
+    """Extreme rays of the chamber cone as primitive integer vectors, sorted
+    (height, lex).
 
     Incremental double description seeded with the positive orthant, adding
-    the facets -(S x)_j >= 0 one at a time.  Adjacency of two rays is the
-    standard combinatorial test: no third ray's active set contains the
-    intersection of theirs.
+    the facets -(S x)_j >= 0 one at a time.  Each ray carries its tight set,
+    the constraints it meets with equality: x_i >= 0 is constraint i and the
+    facet of row j is d + j.  A kept ray with value 0 on the new facet gains
+    it; the ray spanned by a pair of values vp > 0 > vn is a positive
+    combination of the two, both >= 0 on every earlier constraint, so it is
+    tight exactly where both are, and on the new facet.  Two rays are
+    adjacent by the standard combinatorial test: no third ray's tight set
+    contains the intersection of theirs.
     """
     d = cm.d
-    constraints: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(d)) for i in range(d)
-    ]
-    rays: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(d)) for i in range(d)
-    ]
-
-    def active_set(ray):
-        return frozenset(
-            k for k, c in enumerate(constraints)
-            if sum(x * y for x, y in zip(c, ray)) == 0
-        )
-
-    for srow in cm.s:
-        new_constraint = tuple(-x for x in srow)
-        vals = [sum(c * r for c, r in zip(new_constraint, ray)) for ray in rays]
-        zs = [active_set(r) for r in rays]
-        keep = [rays[k] for k, v in enumerate(vals) if v >= 0]
-        fresh: list[tuple[int, ...]] = []
-        for p, vp in zip(range(len(rays)), vals):
+    tight = {unit(d, i): frozenset(range(d)) - {i} for i in range(d)}
+    for facet, srow in enumerate(cm.s, d):
+        vals = {ray: -sum(map(mul, srow, ray)) for ray in tight}
+        kept = {ray: z | {facet} if not vals[ray] else z
+                for ray, z in tight.items() if vals[ray] >= 0}
+        for p, vp in vals.items():
             if vp <= 0:
                 continue
-            for n, vn in zip(range(len(rays)), vals):
+            for n, vn in vals.items():
                 if vn >= 0:
                     continue
-                common = zs[p] & zs[n]
-                adjacent = not any(
-                    k != p and k != n and common <= zs[k] for k in range(len(rays))
-                )
-                if not adjacent:
+                common = tight[p] & tight[n]
+                if any(common <= z for r, z in tight.items() if r != p and r != n):
                     continue
-                combo = tuple(
-                    vp * rn - vn * rp for rp, rn in zip(rays[p], rays[n])
-                )
-                fresh.append(_primitive(combo))
-        constraints.append(new_constraint)
-        rays = list(dict.fromkeys(keep + fresh))
+                ray = _primitive(tuple(vp * rn - vn * rp for rp, rn in zip(p, n)))
+                kept[ray] = common | {facet}
+        tight = kept
 
-    for ray in rays:
-        for c in constraints:
-            assert sum(x * y for x, y in zip(c, ray)) >= 0
-    return sorted(rays, key=lambda r: (height(r), r))
+    if not all(in_chamber(cm, ray) for ray in tight):
+        raise AssertionError("double description left a ray outside the chamber")
+    return sorted(tight, key=lambda r: (height(r), r))
 
 
 def _det_adjugate(rows) -> tuple[int, list[list[int]] | None]:
@@ -240,7 +227,8 @@ def chamber_points(cm: CartanMatrix, cap: int, box: Vec | None = None) -> list[V
 
 
 def hilbert_basis(cm: CartanMatrix) -> tuple[Vec, ...]:
-    """Minimal generating set of the chamber semigroup, sorted (height, lex).
+    """Minimal generating set of the chamber semigroup, sorted (height, lex),
+    by steps 2 and 3 of the module docstring.
 
     max_height = 10 * d * max |S_ij| bounds the height of any generator the
     completion is willing to certify; CapExceeded signals that the basis
@@ -264,11 +252,12 @@ def hilbert_basis(cm: CartanMatrix) -> tuple[Vec, ...]:
         )
 
     # beta - g is <= bound and earlier in (height, lex) than beta, so it is
-    # in the chamber exactly when it is a point already enumerated.
+    # in the chamber exactly when it is a point already enumerated; when g
+    # is not <= beta it has a negative coordinate, and no point has one.
     generators: list[Vec] = []
     seen: set[Vec] = set()
     for beta in chamber_points(cm, height(bound), bound):
-        if not any(leq(g, beta) and vsub(beta, g) in seen for g in generators):
+        if not any(vsub(beta, g) in seen for g in generators):
             generators.append(beta)
         seen.add(beta)
     return tuple(generators)

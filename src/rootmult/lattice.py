@@ -36,11 +36,6 @@ def vdiv(a: Vec, n: int) -> Vec:
     return q
 
 
-def leq(a: Vec, b: Vec) -> bool:
-    """Componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def unit(d: int, i: int) -> Vec:
     """The i-th simple root as a standard basis vector (0-based index)."""
     return tuple(1 if j == i else 0 for j in range(d))

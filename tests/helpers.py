@@ -1,12 +1,14 @@
 """Shared fixtures-in-spirit: test matrices and independent brute-force oracles.
 
 The oracles here deliberately avoid the package's orbit/chamber/engine code
-paths so they can arbitrate: plain box scans and breadth-first closures.
+paths so they can arbitrate: plain box scans, breadth-first closures and
+Fraction eliminations over subsets of the chamber's constraints.
 """
 
 import os
 import sys
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import rootmult
 from rootmult import RootRecord, build, in_chamber, killing, pingpong, reflect
-from rootmult.lattice import height, leq, vsub
+from rootmult.lattice import height, vsub
 
 A2 = [[2, -1], [-1, 2]]
 AFFINE_A1 = [[2, -2], [-2, 2]]
@@ -32,6 +34,11 @@ CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
     os.path.dirname(os.path.dirname(rootmult.__file__)),
     os.environ.get("PYTHONPATH"),
 ])))
+
+
+def leq(a, b):
+    """Componentwise a <= b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def box_points(d, lim):
@@ -63,6 +70,52 @@ def brute_hilbert_basis(cm, lim):
         if not any(leq(g, beta) and in_chamber(cm, vsub(beta, g)) for g in gens):
             gens.append(beta)
     return gens
+
+
+def null_ray(rows, d):
+    """The primitive integer vector spanning the null space of rows (d
+    columns) when it is a line, else None; Gauss-Jordan over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(d):
+        r = next((r for r in range(len(pivots), len(m)) if m[r][col]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        m[k], m[r] = m[r], m[k]
+        m[k] = [x / m[k][col] for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][col]:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[k])]
+        pivots.append(col)
+    if len(pivots) != d - 1:
+        return None
+    (free,) = set(range(d)) - set(pivots)
+    x = [Fraction(0)] * d
+    x[free] = Fraction(1)
+    for k, col in enumerate(pivots):
+        x[col] = -m[k][free]
+    scale = lcm(*(v.denominator for v in x))
+    ints = [int(v * scale) for v in x]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def brute_extreme_rays(cm):
+    """Extreme rays of the chamber cone, sorted (height, lex), as the lines
+    cut out by d - 1 of its 2d constraints (x_i = 0 or (S x)_j = 0) that
+    in_chamber accepts in one direction."""
+    d = cm.d
+    constraints = [tuple(int(i == j) for j in range(d)) for i in range(d)] + list(cm.s)
+    rays = set()
+    for rows in combinations(constraints, d - 1):
+        ray = null_ray(rows, d)
+        if ray is None:
+            continue
+        for v in (ray, tuple(-x for x in ray)):
+            if in_chamber(cm, v):
+                rays.add(v)
+    return sorted(rays, key=lambda v: (height(v), v))
 
 
 def brute_real_roots(cm, cap):

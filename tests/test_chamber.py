@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,16 +17,19 @@ from rootmult import (
 )
 from rootmult import chamber
 from rootmult.chamber import _det_adjugate, _finite_type_inverse
-from rootmult.lattice import height, leq, vsub
+from rootmult.lattice import height, vsub
 from helpers import (
     A2,
     AFFINE_A1,
     AFFINE_A2,
+    CLI_ENV,
     HYP3,
     HYP3D,
     RANK1,
     brute_chamber_points,
+    brute_extreme_rays,
     brute_hilbert_basis,
+    leq,
     symmetrizable_gcms,
 )
 
@@ -56,6 +61,31 @@ def test_extreme_rays_lie_in_chamber():
             assert in_chamber(cm, ray)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=4))
+def test_extreme_rays_match_brute_force_on_random_gcms(grid):
+    cm = build(grid)
+    assert extreme_rays(cm) == brute_extreme_rays(cm)
+
+
+def test_extreme_rays_self_check_raises_also_under_python_O(monkeypatch):
+    monkeypatch.setattr(chamber, "in_chamber", lambda cm, ray: False)
+    with pytest.raises(AssertionError, match="outside the chamber"):
+        extreme_rays(build(HYP3))
+    # an assert statement would vanish under -O and return the rays
+    script = (
+        "from rootmult import build, chamber\n"
+        "chamber.in_chamber = lambda cm, ray: False\n"
+        "try:\n"
+        f"    chamber.extreme_rays(build({HYP3}))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=CLI_ENV)
+    assert proc.returncode == 0
+
+
 def test_hilbert_basis_examples():
     assert list(hilbert_basis(build(A2))) == []
     assert list(hilbert_basis(build(AFFINE_A1))) == [(1, 1)]
@@ -69,6 +99,17 @@ def test_hilbert_basis_examples():
 )
 def test_hilbert_basis_matches_box_search(grid, lim):
     cm = build(grid)
+    assert list(hilbert_basis(cm)) == brute_hilbert_basis(cm, lim)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=3))
+def test_hilbert_basis_matches_box_search_on_random_gcms(grid):
+    # every generator lies under the sum of the extreme rays
+    cm = build(grid)
+    lim = max(map(sum, zip(*brute_extreme_rays(cm))), default=0)
+    if lim > 12:
+        return
     assert list(hilbert_basis(cm)) == brute_hilbert_basis(cm, lim)
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootmult import coord_gcd, divisors, height, render, subroots
-from rootmult.lattice import leq, mobius, unit, vdiv, vsub
+from rootmult.lattice import mobius, unit, vdiv, vsub
 from rootmult.peterson import KeyCodec
+from helpers import leq
 
 
 def test_height():
