@@ -11,7 +11,7 @@ symmetrizer is propagated in integers along each component of the Dynkin
 graph and canonicalized to coprime positive integers so output is
 reproducible.  killing (the form) and reflect (a fundamental reflection)
 are pure functions on tuples, which the tests use as arbiters for the
-engine's packed-key arithmetic.
+engine's packed-key arithmetic; the oracle uses both too.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
 
         s_i(beta) = beta - (sum_j a_ij beta_j) alpha_i
 
-    A pure function and the public single-step API; the tests check
-    pingpong's walk against a plain walk of it.
+    A pure function and the public single-step API: the oracle descends
+    by it, and the tests check pingpong's walk against a plain walk of it.
     """
     if not 0 <= i < cm.d:
         raise IndexError(f"reflection index {i} out of range for rank {cm.d}")

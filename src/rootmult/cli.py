@@ -26,7 +26,7 @@ from . import __version__
 from .cartan import NotGCM, NotSymmetrizable, build
 from .chamber import CapExceeded, hilbert_basis
 from .metrics import KillingCounter, counter_snapshot
-from .peterson import CSV_HEADER, MAX_CAP, NonIntegerMultiplicity, compute_all
+from .peterson import CSV_HEADER, NonIntegerMultiplicity, compute_all
 from .presets import PRESET_NAMES, preset_matrix
 
 ORACLE_MAX_RANK = 3
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preset", metavar="NAME",
                         help=f"one of: {', '.join(PRESET_NAMES)}")
     parser.add_argument("--height", type=int, required=True, metavar="N",
-                        help="height cap (1 to 2**63 - 1)")
+                        help="height cap (>= 1)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table format (default csv)")
     parser.add_argument("--out", metavar="FILE",
@@ -76,15 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(argv=None) -> argparse.Namespace:
     """The parsed arguments, validated, with the Cartan matrix as args.grid."""
     args = build_parser().parse_args(argv)
-    if not 1 <= args.height <= MAX_CAP:
-        raise ValueError(f"--height must be >= 1 and <= {MAX_CAP}")
+    if args.height < 1:
+        raise ValueError("--height must be >= 1")
     if args.preset is not None:
         grid = preset_matrix(args.preset)
     else:
         try:
             with open(args.matrix, "r", encoding="utf-8") as fh:
-                grid = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+                grid = json.load(fh)  # ValueError: bad UTF-8, JSON or digit count
+        except (OSError, ValueError, RecursionError) as e:
             raise ValueError(f"cannot read matrix file: {e}") from None
         if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
             raise ValueError("matrix file must hold a nested array")
@@ -175,6 +175,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    # Input is parsed under the int digit limit; k_naive_closed may pass it
+    lift = getattr(sys, "set_int_max_str_digits", None)  # absent before 3.10.7
+    saved = lift and sys.get_int_max_str_digits()
+    if lift:
+        lift(0)
     try:
         code = run(args)
         sys.stdout.flush()
@@ -191,6 +196,9 @@ def main(argv=None) -> int:
             print(f"cannot write {args.out or '<stdout>'}: {e.strerror or e}",
                   file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if lift:
+            lift(saved)
     return code
 
 

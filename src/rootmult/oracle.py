@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .cartan import CartanMatrix, killing, rho_pair
+from .cartan import CartanMatrix, killing, reflect, rho_pair
 from .lattice import Vec, coord_gcd, height, mobius, render, subroots, unit, vdiv
 from .metrics import PHASE_ORACLE, KillingCounter
 from .peterson import NonIntegerMultiplicity, c_value, query_mult
@@ -72,9 +72,8 @@ def _descend_mult(tab: OracleTable, beta: Vec) -> int:
     """
     cm = tab.cm
     for i in range(cm.d):
-        coef = sum(aij * bj for aij, bj in zip(cm.a[i], beta))
-        if coef > 0:
-            image = beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
+        image = reflect(cm, i, beta)
+        if image[i] < beta[i]:
             if all(x >= 0 for x in image):
                 return tab.mult[image]
             return 0

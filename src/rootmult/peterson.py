@@ -24,17 +24,17 @@ value; each point still gets its own Moebius inversion, record and walk,
 since the images lie in different Weyl orbits.
 
 Key layout.  Every vector inside the engine is one non-negative int, its
-KeyCodec key for the box [0, cap]^d.  Each coordinate gets a field of w
-bytes, w the smallest power of two with cap < 2^(8w - 1), so the top bit
-of every field (its guard bit) is clear in every key.  Coordinate 0 takes
-the most significant field, so int order is lex order.  A lookup of
-the partner key(beta) - key(u) misses every u not <= beta componentwise:
-for u <= beta no field borrows and each field of the difference is
-beta_i - u_i, but otherwise the difference is negative or the lowest
-field with u_i > beta_i takes no borrow from below and wraps to at least
-2^(8w - 1), setting its guard bit, so it is the key of no vector of the
-box.  key(n gamma) = n key(gamma), so exact division by n divides gamma,
-and s_i changes only coordinate i, so an image is key - (p_i << shifts[i]).
+KeyCodec key for the box [0, cap]^d.  Each coordinate gets a field of w =
+cap.bit_length() + 1 bits, so the top bit of every field (its guard bit)
+is clear in every key.  Coordinate 0 takes the most significant field, so
+int order is lex order.  A lookup of the partner key(beta) - key(u)
+misses every u not <= beta componentwise: for u <= beta no field borrows
+and each field of the difference is beta_i - u_i, but otherwise the
+difference is negative or the lowest field with u_i > beta_i takes no
+borrow from below and wraps to at least 2^(w - 1), setting its guard
+bit, so it is the key of no vector of the box.  key(n gamma) = n
+key(gamma), so exact division by n divides gamma, and s_i changes only
+coordinate i, so an image is key - (p_i << shifts[i]).
 
 Tuples appear only at the API edge (RootTable.key, get, entries, roots,
 lines_by_height, c_value, query_mult), which checks them before encoding
@@ -54,7 +54,11 @@ object, and the table's levels are the walk's only visited set.  The walk
 carries each vector's height and pairing vector p = A beta: s_i raises
 the height iff p_i < 0, and moves p by p_i times column i of A.  The
 seed's p comes from compute_all: column i of A for alpha_i, and for a
-chamber point the p its norm is read from.
+chamber point the p its norm is read from.  An image needs no check of
+its own: only its field i moves, to beta_i - p_i <= h - p_i <= cap, so
+it is a key of the box (Key layout) of height h - p_i whatever p, and
+its gcd is the seed's, a Weyl invariant.  So the walk checks the seed's
+g once, and an image's height only against the frozen ones.
 
 Integers.  With g = gcd(beta), g c(beta) = sum_{n | g} m(beta/n) g/n is
 an integer, and g divides h = ht(beta), so a(beta) = h c(beta) = gc h/g is
@@ -72,11 +76,10 @@ point is used.
 
 from __future__ import annotations
 
-import struct
 from collections import defaultdict, deque
 from functools import lru_cache
 from math import gcd, lcm
-from operator import itemgetter, mul, sub
+from operator import itemgetter, lshift, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, rho_pair
@@ -90,7 +93,6 @@ if TYPE_CHECKING:
 KIND_REAL = "real"
 KIND_IMAGINARY = "imaginary"
 
-MAX_CAP = (1 << 63) - 1  # the widest field KeyCodec packs is 8 bytes
 CSV_HEADER = "coords,height,norm,c,mult,kind\n"  # above RootTable.lines_by_height's CSV rows
 
 
@@ -102,31 +104,22 @@ def _fraction(num: int, den: int = 1) -> Fraction:
 
 
 class KeyCodec:
-    """One non-negative int per vector of the box [0, cap]^d (module
-    docstring, Key layout); a cap above MAX_CAP raises ValueError.
-
-    encode, one pack, does not check its input: callers ensure 0 <= v_i <=
-    cap (the root table's key() does).  decode is one unpack, as in pingpong.
-    """
+    """One non-negative int per vector of the box [0, cap]^d: coordinate
+    i in the bit field at shifts[i] (module docstring, Key layout).
+    encode does not check its input: callers ensure 0 <= v_i <= cap (the
+    root table's key() does)."""
 
     def __init__(self, d: int, cap: int):
-        if cap > MAX_CAP:
-            raise ValueError(f"cap {cap} is above {MAX_CAP}")
-        w = 1
-        while cap >> (8 * w - 1):
-            w *= 2
-        bits = 8 * w
-        self.size = w * d
+        self.bits = bits = cap.bit_length() + 1
+        self.mask = (1 << bits) - 1
         self.shifts = tuple(range(bits * (d - 1), -1, -bits))  # coordinate i's field
         self.limit = 1 << (bits * d)
-        fields = struct.Struct(f">{d}{'BHIQ'[w.bit_length() - 1]}")
-        self.pack, self.unpack = fields.pack, fields.unpack
 
     def encode(self, v: Vec) -> int:
-        return int.from_bytes(self.pack(*v), "big")
+        return sum(map(lshift, v, self.shifts))
 
     def decode(self, key: int) -> Vec:
-        return self.unpack(key.to_bytes(self.size, "big"))
+        return tuple([key >> s & self.mask for s in self.shifts])
 
 
 class NonIntegerMultiplicity(ArithmeticError):
@@ -334,17 +327,18 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) 
 
     The seed comes with its key, height and pairing vector p = A seed;
     p is required and not checked.  The seed must be recorded (else
-    KeyError) and must be the lowest member of its orbit: a seed with some
-    p_i > 0 and seed_i >= p_i, whose image s_i(seed) is positive and
+    KeyError) with g = gcd(seed), the one g check of the walk (else
+    ValueError), and must be the lowest member of its orbit: a seed with
+    some p_i > 0 and seed_i >= p_i, whose image s_i(seed) is positive and
     lower, raises ValueError, since the walk would miss what lies above
     that image.
 
     Walks breadth-first from the seed, on keys.  An image the table does
-    not hold is recorded with the seed's record object, or raises the
-    ValueError of RootTable.record, and is walked in turn; one it holds
-    must carry that record or equal values (E10's simple roots are
-    recorded apart but share one orbit), else AssertionError, and is not
-    walked again.  Returns the keys of the new records in record order
+    not hold is stored with the seed's record object and walked in turn,
+    or at a frozen height raises the ValueError of RootTable.record; one
+    it holds must carry that record or equal values (E10's simple roots
+    are recorded apart but share one orbit), else AssertionError, and is
+    not walked again.  Returns the keys of the new records in record order
     ([] on a second run): the walk's own list less its seed, not a copy,
     which at E10's first walk would add its size to the peak RSS.  Ticks
     d * len(walk) pingpong forms, the seed's included, on table.counter
@@ -355,6 +349,8 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) 
     record = table.levels.get(h, {}).get(key)
     if record is None:
         raise KeyError(f"pingpong seed {seed} is not recorded in the table")
+    if record.g != gcd(*seed):
+        raise ValueError(f"pingpong seed {seed} has gcd {gcd(*seed)}, its record g = {record.g}")
     cm, cap = table.cm, table.cap
     for i, (p_i, b_i) in enumerate(zip(p, seed)):
         if 0 < p_i <= b_i:
@@ -363,9 +359,7 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) 
                 f"reflection {i} lowers it"
             )
     levels, frozen, moves, a = table.levels, len(table.frozen), table.moves, cm.a
-    codec = table.codec
-    shifts, limit, size, unpack = codec.shifts, codec.limit, codec.size, codec.unpack
-    g = record.g
+    shifts = table.codec.shifts
 
     walk = [key]
     # Height and pairing vector of the walked vectors not yet expanded, in
@@ -381,12 +375,7 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) 
             level = levels[up]
             existing = level.get(image)
             if existing is None:
-                # RootTable.record's checks, inline, since a call per image
-                # costs more than they do; an image that fails one goes to
-                # record, which raises the error, so its messages live there.
-                if (image >= limit or up <= frozen
-                        or sum(coords := unpack(image.to_bytes(size, "big"))) != up
-                        or gcd(*coords) != g):
+                if up <= frozen:  # record raises, so its message lives there
                     table.record(image, up, record)
                 level[image] = record
                 walk.append(image)
@@ -398,7 +387,7 @@ def pingpong(table: RootTable, seed: Vec, key: int, h: int, p: tuple[int, ...]) 
                 record.gc, record.mult
             ):
                 raise AssertionError(
-                    f"orbit member {codec.decode(image)} already recorded "
+                    f"orbit member {table.codec.decode(image)} already recorded "
                     f"with conflicting values"
                 )
     table.counter.tick(PHASE_PINGPONG, cm.d * len(walk))

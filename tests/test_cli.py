@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -20,7 +21,7 @@ from rootmult import (
     preset_matrix,
 )
 from rootmult.metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
-from rootmult.peterson import MAX_CAP, NonIntegerMultiplicity
+from rootmult.peterson import NonIntegerMultiplicity
 from rootmult.presets import tree_matrix
 from helpers import CLI_ENV, HYP3, ROOTMULT, brute_real_roots, symmetrizable_gcms
 
@@ -128,7 +129,7 @@ def test_failed_write_exits_2_without_traceback(preset, height):
 
 
 # The CSV digests BENCHMARK.json records for its deep-rank2 and wide-e10
-# workloads, hyp-2-3@128, the first cap whose keys need two-byte fields,
+# workloads, hyp-2-3@128, the first cap whose keys need 9-bit fields,
 # and e10@100 (66,514 rows), whose orbits reach heights wide-e10 does not:
 # any drift in the exported table shows here.
 @pytest.mark.parametrize("preset,height,digest", [
@@ -231,7 +232,7 @@ def test_csv_writer_matches_row_formatting(grid, cap):
 
 @pytest.mark.parametrize("preset,height", [
     ("e10", 20),  # simple roots: distinct record objects with equal values
-    ("hyp-2-3", 128),  # two-byte key fields
+    ("hyp-2-3", 128),  # 9-bit key fields
     ("e11", 30),  # odd rank: the key's high half has 6 fields, its low half 5
 ])
 def test_cli_csv_matches_row_formatting(preset, height, capsys):
@@ -285,9 +286,14 @@ def test_not_symmetrizable_exits_3(tmp_path):
 
 def test_bad_height_exits_2():
     run_cli("--preset", "a2", "--height", "0", "--quiet", expect=2)
-    # keys pack each coordinate in at most 8 bytes
-    run_cli("--preset", "a2", "--height", str(2**63), "--quiet", expect=2)
-    run_cli("--preset", "a2", "--height", str(2**63 - 1), "--quiet", expect=0)
+    # no upper bound but Python's int parsing: 2**63 computes, and a
+    # height past the int digit limit (where Python has one) is refused
+    # by argparse
+    proc = run_cli("--preset", "a2", "--height", str(2**63), "--quiet")
+    assert proc.stdout.splitlines()[1:] == ["0;1,1,2,1/1,1,real", "1;0,1,2,1/1,1,real",
+                                            "1;1,2,2,1/1,1,real"]
+    limited = hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() > 0
+    run_cli("--preset", "a2", "--height", "9" * 5000, "--quiet", expect=2 if limited else 0)
 
 
 def test_unknown_preset_exits_2():
@@ -393,13 +399,42 @@ def test_metrics_ratio_beyond_the_float_range_is_null(tmp_path):
     path = tmp_path / "a9.json"
     path.write_text(json.dumps(
         [[2 if i == j else -(abs(i - j) == 1) for j in range(9)] for i in range(9)]))
-    proc = run_cli("--matrix", str(path), "--height", str(MAX_CAP), "--metrics",
+    proc = run_cli("--matrix", str(path), "--height", str(2**63 - 1), "--metrics",
                    "--quiet")
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["ratio"] is None
-    assert report["k_naive_closed"] == k_naive_closed(9, MAX_CAP)
+    assert report["k_naive_closed"] == k_naive_closed(9, 2**63 - 1)
     assert report["k_ascent"] == report["phases"]["pingpong"] > 0
     assert len(proc.stdout.splitlines()) == 1 + 45 + 1  # header, 45 roots, report
+
+
+def test_metrics_print_a_naive_cost_past_the_int_digit_limit(tmp_path, capsys):
+    # 2 I of rank 150 has only its simple roots, but its closed-form naive
+    # cost at height 2**63 - 1 has 5,076 digits, more than the 4,300 that
+    # Python converts to text by default.  The report prints it exactly,
+    # main leaves the digit limit as it found it, and the input is still
+    # parsed under that limit.
+    path = tmp_path / "2i.json"
+    path.write_text(json.dumps([[2 * (i == j) for j in range(150)] for i in range(150)]))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    assert cli.main(["--matrix", str(path), "--height", str(2**63 - 1), "--metrics",
+                     "--quiet"]) == 0
+    assert limit() == before
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 150 + 1  # header, 150 roots, report
+    digits = re.search(r'"k_naive_closed": (\d+),', lines[-1]).group(1)
+    assert len(digits) == 5076
+    got = 0  # read in chunks, each under the digit limit
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        got = got * 10 ** len(chunk) + int(chunk)
+    assert got == k_naive_closed(150, 2**63 - 1)
+    if before:  # None or 0 where Python sets no limit
+        path.write_text("[[2, -" + "1" * 5000 + "], [-1, 2]]")
+        assert cli.main(["--matrix", str(path), "--height", "3", "--quiet"]) == cli.EXIT_INPUT
+        assert limit() == before
+        assert capsys.readouterr().err.startswith("error: cannot read matrix file: ")
 
 
 def run_bare(code):

@@ -99,22 +99,23 @@ def test_mobius_divisor_sum_identity():
         assert total == (1 if g == 1 else 0)
 
 
-# 127 and 128 straddle the one- to two-byte field switch, 32767 and 32768
-# the two- to four-byte one.
+# 127 and 128 straddle the eight- to nine-bit field switch; 2**63 and
+# 2**100 need fields wider than 64 bits.
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_key_codec_round_trips_and_keeps_order_and_differences(data):
     cap = data.draw(st.one_of(st.integers(1, 300),
-                              st.sampled_from([127, 128, 32767, 32768])), label="cap")
+                              st.sampled_from([127, 128, 32767, 32768, 2**63, 2**100])),
+                    label="cap")
     d = data.draw(st.integers(1, 4), label="d")
     vectors = st.tuples(*[st.integers(0, cap)] * d)
     u, beta = data.draw(vectors, label="u"), data.draw(vectors, label="beta")
     low = tuple(map(min, u, beta))  # always <= beta
     codec = KeyCodec(d, cap)
-    bits = 8 * codec.size // d
+    bits = codec.bits
     mask = (1 << bits) - 1
     guard = sum(1 << (s + bits - 1) for s in codec.shifts)  # each field's top bit
-    assert codec.size == d * (1 if cap < 128 else 2 if cap < 32768 else 4)
+    assert bits == cap.bit_length() + 1 and codec.limit == 1 << (bits * d)
     ku, kb, kl = codec.encode(u), codec.encode(beta), codec.encode(low)
     assert (codec.decode(ku), codec.decode(kb), codec.decode(kl)) == (u, beta, low)
     assert tuple((kb >> s) & mask for s in codec.shifts) == beta

@@ -10,7 +10,6 @@ from rootmult import (
     naive_compute,
 )
 from rootmult.metrics import PHASE_ORACLE, PHASE_PINGPONG, PHASE_SUM
-from rootmult.peterson import MAX_CAP
 from helpers import A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D
 
 
@@ -85,7 +84,7 @@ def test_snapshot_report_shape():
     # its simple roots, but the closed-form naive cost at the largest
     # height has 712 digits.
     wide = counter_snapshot(compute_all(build([[2 * (i == j) for j in range(20)]
-                                               for i in range(20)]), MAX_CAP))
+                                               for i in range(20)]), 2**63 - 1))
     assert wide["k_ascent"] == 400 and len(str(wide["k_naive_closed"])) == 712
     assert wide["ratio"] is None
 

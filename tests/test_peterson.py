@@ -30,7 +30,6 @@ from rootmult.lattice import height, mobius, unit, vsub
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
-    MAX_CAP,
     RootRecord,
     RootTable,
     ZeroDenominator,
@@ -287,7 +286,7 @@ def test_entries_not_below_beta_miss_the_lookup(monkeypatch, grid, cap, kinds):
 
     def checked(table, beta, key, top, norm):
         result = original(table, beta, key, top, norm)
-        bits = 8 * table.codec.size // table.cm.d
+        bits = table.codec.bits
         guard = sum(1 << (s + bits - 1) for s in table.codec.shifts)  # each field's top bit
         levels, frozen = table.levels, table.frozen
         for h in range(1, top // 2 + 1):
@@ -580,15 +579,11 @@ def test_table_record_guards():
         record(table, (2, 2))
     with pytest.raises(ValueError):
         RootTable(cm, 0)
-    # keys pack each coordinate in at most 8 bytes; the CLI refuses such a
-    # height before building a table, library callers reach this check
-    with pytest.raises(ValueError, match="above"):
-        RootTable(cm, MAX_CAP + 1)
 
 
 def test_record_guards_hold_on_the_key():
-    # record takes a key and a carried height, as pingpong's walk checks
-    # them for its images; rank 3 at cap 5 packs one byte per coordinate
+    # record takes a key and a carried height and checks both; rank 3 at
+    # cap 5 packs 4 bits per coordinate
     table = RootTable(build(HYP3D), 5)
     codec = table.codec
     rec = RootRecord(1, 1, 1, 2)
@@ -604,7 +599,7 @@ def test_record_guards_hold_on_the_key():
 
 
 def test_record_reads_the_height_past_a_wrapping_multiply():
-    # at cap 127 a coordinate has one byte, and (127, 127, 4), of height
+    # at cap 127 a coordinate has 8 bits, and (127, 127, 4), of height
     # 258, multiplies out to 258 mod 256 = 2
     table = RootTable(build([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), 127)
     key = table.codec.encode((127, 127, 4))
@@ -614,9 +609,9 @@ def test_record_reads_the_height_past_a_wrapping_multiply():
 
 
 def test_tuples_outside_the_box_reach_no_key():
-    # At cap 5 a coordinate has one byte: a tuple that is too short or has
+    # At cap 5 a coordinate has 4 bits: a tuple that is too short or has
     # a coordinate outside 0..5 must answer as absent, not as whichever
-    # vector its bytes would encode to.
+    # vector its bits would encode to.
     table = compute_all(build(AFFINE_A1), 5)
     for beta in ((1,), (0, 256), (300, 0), (-1, 3)):
         assert table.get(beta) is None and beta not in table
@@ -637,7 +632,9 @@ def test_tuples_outside_the_box_reach_no_key():
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(grid=symmetrizable_gcms(max_rank=4), cap=st.integers(1, 14))
 def test_levels_hold_each_record_once_and_edge_reads_add_no_level(grid, cap):
-    # Every key sits in the level of its height, within 1..cap; the table's
+    # Every key sits in the level of its height, within 1..cap, and its
+    # record's g is the gcd of its coordinates (pingpong checks g on its
+    # seed alone, so this checks it on every walked image); the table's
     # size, its entries and its exported CSV rows agree; reads at the tuple
     # edge of negative, zero, wrong-length and above-cap tuples add no
     # level; and an empty level exports nothing.
@@ -645,7 +642,9 @@ def test_levels_hold_each_record_once_and_edge_reads_add_no_level(grid, cap):
     table = compute_all(cm, cap)
     for h, level in table.levels.items():
         assert 1 <= h <= cap
-        assert all(sum(table.codec.decode(k)) == h for k in level)
+        for k, rec in level.items():
+            beta = table.codec.decode(k)
+            assert sum(beta) == h and rec.g == coord_gcd(beta)
     text = "".join(table.lines_by_height("csv"))
     assert len(table) == len(table.entries) == text.count("\n")
     heights = set(table.levels)

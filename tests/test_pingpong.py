@@ -96,17 +96,18 @@ def test_pingpong_conflict_is_an_assertion_error():
         walk_from(table, (1, 0))
 
 
-def test_pingpong_checks_g_on_each_new_image():
-    # The walk stores its images itself; a seed whose record carries the
-    # wrong g must still stop it at its first new image, (1, 1), with the
-    # error record raises.
+def test_pingpong_checks_the_seeds_g():
+    # gcd is a Weyl invariant, so the walk checks g once, on its seed: a
+    # seed whose record carries the wrong g is refused before any image is
+    # stored, also on a walk that would store nothing (cap 1).
     cm = build(A2)
-    table = RootTable(cm, 3)
-    key = table.codec.encode((1, 0))
-    table.levels[1][key] = RootRecord(2, 2, 1, 2)
-    with pytest.raises(ValueError, match=r"cannot record \(1, 1\) with g = 2"):
-        pingpong(table, (1, 0), key, 1, (2, -1))
-    assert len(table) == 1
+    for cap in (3, 1):
+        table = RootTable(cm, cap)
+        key = table.codec.encode((1, 0))
+        table.levels[1][key] = RootRecord(2, 2, 1, 2)
+        with pytest.raises(ValueError, match=r"seed \(1, 0\) has gcd 1, its record g = 2"):
+            pingpong(table, (1, 0), key, 1, (2, -1))
+        assert len(table) == 1 and table.counter.count() == 0
 
 
 def test_pingpong_refuses_an_image_of_a_frozen_height():
