@@ -41,6 +41,20 @@ EXIT_INTEGRALITY = 5
 EXIT_BROKEN_PIPE = 141
 
 
+def height_cap(text: str) -> int:
+    """--height's value as an int >= 1.  A value it cannot read is quoted
+    by at most its first 10 characters, so that the error, argparse's
+    usage included, stays under 300 bytes whatever the value's length."""
+    try:
+        cap = int(text)  # ValueError too past the int digit limit
+    except ValueError:
+        cut = "..." if len(text) > 10 else ""
+        raise argparse.ArgumentTypeError(f"not an int: {text[:10]!r}{cut}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootmult",
@@ -52,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file holding a square integer array")
     source.add_argument("--preset", metavar="NAME",
                         help=f"one of: {', '.join(PRESET_NAMES)}")
-    parser.add_argument("--height", type=int, required=True, metavar="N",
+    parser.add_argument("--height", type=height_cap, required=True, metavar="N",
                         help="height cap (>= 1)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table format (default csv)")
@@ -76,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(argv=None) -> argparse.Namespace:
     """The parsed arguments, validated, with the Cartan matrix as args.grid."""
     args = build_parser().parse_args(argv)
-    if args.height < 1:
-        raise ValueError("--height must be >= 1")
     if args.preset is not None:
         grid = preset_matrix(args.preset)
     else:

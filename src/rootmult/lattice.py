@@ -2,7 +2,9 @@
 
 A lattice vector is a plain tuple of ints giving its coefficients in the
 simple-root basis.  Everything here is a pure function on such tuples,
-shared by the engine, the chamber enumeration and the naive oracle.
+used by the engine, the chamber enumeration or the naive oracle; the
+step from c to a multiplicity is not here, since the engine and the
+oracle each take it by their own code.
 """
 
 from __future__ import annotations
@@ -26,14 +28,6 @@ def coord_gcd(beta: Vec) -> int:
 
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vdiv(a: Vec, n: int) -> Vec:
-    """Exact division of every coordinate by n."""
-    q = tuple(x // n for x in a)
-    if any(x % n for x in a):
-        raise ValueError(f"{a} is not divisible by {n}")
-    return q
 
 
 def unit(d: int, i: int) -> Vec:
@@ -71,20 +65,3 @@ def divisors(beta: Vec) -> Iterator[tuple[int, Vec]]:
         if g % n == 0:
             yield n, tuple(b // n for b in beta)
 
-
-def mobius(n: int) -> int:
-    """Moebius function by trial division (n stays small: n <= height cap)."""
-    if n < 1:
-        raise ValueError("mobius undefined for n < 1")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result

@@ -4,8 +4,9 @@ Walks every positive lattice point of height <= cap in ascending order and
 applies the recurrence over all subroots of the coordinate box, with no
 knowledge of roots, orbits or the chamber; only the simple roots are
 seeded.  Deliberately shares nothing with the graded-ascent engine beyond
-the Cartan and lattice primitives, and stays single-threaded: it is a test
-instrument, determinism over speed.
+the Cartan and lattice primitives, not even the step from c to the
+multiplicity, which it solves in fractions over its own table, and stays
+single-threaded: it is a test instrument, determinism over speed.
 
 Intended for d <= 3 and cap <= 15; the cost grows like the closed-form
 naive bound.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cartan import CartanMatrix, killing, reflect, rho_pair
-from .lattice import Vec, coord_gcd, height, mobius, render, subroots, unit, vdiv
+from .lattice import Vec, coord_gcd, height, render, subroots, unit
 from .metrics import PHASE_ORACLE, KillingCounter
 from .peterson import NonIntegerMultiplicity, c_value, query_mult
 
@@ -91,7 +92,7 @@ def _zero_denominator_c(tab: OracleTable, beta: Vec) -> Fraction:
     """
     n = coord_gcd(beta)
     if n >= 2:
-        return Fraction(1, n) if tab.mult[vdiv(beta, n)] > 0 else Fraction(0)
+        return Fraction(1, n) if tab.mult[tuple(b // n for b in beta)] > 0 else Fraction(0)
     return Fraction(_descend_mult(tab, beta))
 
 
@@ -104,8 +105,10 @@ def naive_compute(
     recurrence sum over all box subroots, one counted form per subroot plus
     one for the denominator, ticked once per point.  Zero-denominator points
     (the denominator alone) take the fallback and are logged in .gaps.
-    Multiplicities come from the same Moebius inversion the engine uses and
-    must be non-negative integers.
+    Each multiplicity solves c(beta) = sum_{n | g} m(beta/n)/n (g = gcd
+    beta) for its n = 1 term, m(beta) = c(beta) - sum_{n | g, n >= 2}
+    m(beta/n)/n, from the multiplicities of the lower beta/n this table
+    holds, and must be a non-negative integer, else NonIntegerMultiplicity.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -140,9 +143,7 @@ def naive_compute(
             g = coord_gcd(beta)
             for n in range(2, g + 1):
                 if g % n == 0:
-                    mu = mobius(n)
-                    if mu:
-                        m += Fraction(mu, n) * tab.c[vdiv(beta, n)]
+                    m -= Fraction(tab.mult[tuple(b // n for b in beta)], n)
             if m.denominator != 1 or m < 0:
                 raise NonIntegerMultiplicity(
                     f"oracle m({render(beta)}) = {m} is not a non-negative integer"

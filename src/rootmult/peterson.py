@@ -8,11 +8,11 @@ recurrence
     c(beta) = [ sum_{gamma < beta} (gamma, beta - gamma) c(gamma) c(beta - gamma) ]
               / ((beta, beta) - 2 (rho, beta))
 
-gives c(beta) = sum_{n | gcd(beta)} m(beta/n)/n, and Moebius inversion
-over the divisors of gcd(beta) turns it into the multiplicity; each new
-root's orbit is walked before the next height.  Only vectors with c != 0 enter
-the sum: the recorded roots, and the scaled reals n r (n >= 2, r a real
-root), which are not roots and have c = 1/n.
+gives c(beta) = sum_{n | gcd(beta)} m(beta/n)/n, solved for its n = 1
+term, the multiplicity, from the records of the lower chamber points
+beta/n; each new root's orbit is walked before the next height.  Only
+vectors with c != 0 enter the sum: the recorded roots, and the scaled
+reals n r (n >= 2, r a real root), which are not roots and have c = 1/n.
 
 Automorphisms.  A diagram automorphism sigma (a node permutation
 preserving S, see cartan.automorphisms) maps the chamber to itself and
@@ -20,7 +20,7 @@ preserves the form, rho and the height, so c(sigma beta) = c(beta) (Kac,
 Infinite-dimensional Lie algebras, 4.19 and 11.13).  The sum is therefore
 evaluated once per orbit of chamber points under these permutations, at
 the orbit's first point in lex order, and the other points reuse its
-value; each point still gets its own Moebius inversion, record and walk,
+value; each point still gets its own multiplicity, record and walk,
 since the images lie in different Weyl orbits.
 
 Key layout.  Every vector inside the engine is one non-negative int, its
@@ -64,9 +64,9 @@ Integers.  With g = gcd(beta), g c(beta) = sum_{n | g} m(beta/n) g/n is
 an integer, and g divides h = ht(beta), so a(beta) = h c(beta) = gc h/g is
 an integer too.  compute_all checks g c once per chamber point, after the
 sum; from there on the table holds only integers: a record stores g, gc,
-the multiplicity and the norm (beta, beta), and a height h, once final,
-freezes into one dict, key -> (a, norm), over its vectors with
-c = a/h != 0.  The Peterson sum takes each pair's form from stored
+the multiplicity and the norm (beta, beta), and mobius_mult solves for
+h m(beta) in integers; a height h, once final, freezes for the Peterson
+sum into one dict, key -> (a, norm), over its vectors with c = a/h != 0.  The Peterson sum takes each pair's form from stored
 norms, 2 (u, v) = (beta, beta) - (u, u) - (v, v), and still charges the
 cost model one form per pair.  Fractions are built only for readers
 (c_value, RootRecord.c) and for NonIntegerMultiplicity messages, by
@@ -84,7 +84,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .cartan import CartanMatrix, automorphisms, rho_pair
 from .chamber import chamber_points
-from .lattice import Vec, mobius, render, unit
+from .lattice import Vec, render, unit
 from .metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
 
 if TYPE_CHECKING:
@@ -123,7 +123,7 @@ class KeyCodec:
 
 
 class NonIntegerMultiplicity(ArithmeticError):
-    """Moebius inversion produced a non-integer or negative multiplicity, a
+    """The divisor sum of c solved to a non-integer or negative multiplicity, a
     c-value times gcd(beta) is not an integer, or a chamber point has a
     nonzero c-value but multiplicity 0.
 
@@ -173,9 +173,9 @@ class RootTable:
     read by the walk may add an empty level in 1..cap, which exports
     nothing.  frozen[h - 1], built by freeze, maps each vector of height h
     with c = a/h != 0 to (a, norm).  compute_all fills the table; once it
-    returns, the engine records nothing more, but c_value, peterson_c and
-    mobius_mult still freeze the heights they read, which adds frozen
-    dicts and never a record.
+    returns, the engine records nothing more, and on the finished table
+    only c_value and peterson_c freeze the heights they read, which adds
+    frozen dicts and never a record.
     """
 
     def __init__(self, cm: CartanMatrix, cap: int, counter: KillingCounter | None = None):
@@ -484,26 +484,25 @@ def _scales(top: int) -> tuple[int, tuple[int, ...]]:
 
 
 def mobius_mult(table: RootTable, key: int, h: int, g: int, gc: int) -> int:
-    """Multiplicity of beta, the vector of key, by Moebius inversion along
-    the divisors of g = gcd(beta), given its height h from the caller and
-    gc = g c(beta):
+    """Multiplicity of beta, the vector of key, given its height h from the
+    caller, g = gcd(beta) and gc = g c(beta), by solving c(beta) =
+    sum_{n | g} m(beta/n)/n for its n = 1 term:
 
-        h m(beta) = sum_{n | g} mu(n) a(beta/n),  h = ht(beta),
+        h m(beta) = a(beta) - sum_{n | g, n >= 2} (h/n) m(beta/n),
 
-    in integers (module docstring, Integers), with a(beta) = gc h/g and
-    each a(beta/n), n >= 2, read from the frozen dict of height h/n at key
-    / n.  Freezes the heights up to h/n for each n with mu(n) != 0.
-    Raises NonIntegerMultiplicity if the result is not a non-negative
-    integer, which would mean an upstream bug.
+    in integers (module docstring, Integers), with a(beta) = gc h/g.  Each
+    beta/n is a chamber point of height h/n, already processed, so it has
+    a record, at key // n, exactly when it is a root; m(beta/n) is that
+    record's multiplicity, else 0.  Freezes nothing.  Raises
+    NonIntegerMultiplicity if the result is not a non-negative integer,
+    which would mean an upstream bug.
     """
-    total = gc * (h // g)
+    total, levels = gc * (h // g), table.levels
     for n in range(2, g + 1):
         if g % n == 0:
-            mu = mobius(n)
-            if mu:
-                table.freeze(h // n)
-                a, _ = table.frozen[h // n - 1].get(key // n, (0, 0))
-                total += mu * a
+            rec = levels.get(h // n, {}).get(key // n)
+            if rec is not None:
+                total -= h // n * rec.mult
     if total < 0 or total % h:
         raise NonIntegerMultiplicity(
             f"m({render(table.codec.decode(key))}) = {_fraction(total, h)} "
@@ -522,8 +521,8 @@ def compute_all(
     Records m = c = 1 on the simple roots and pingpongs them, then walks
     the chamber points in ascending (height, lex) order: the Peterson sum
     at the first point of each orbit under the diagram automorphisms
-    (module docstring, Automorphisms), Moebius multiplicity, and for a
-    root a record and a walk of its orbit.  Each point's key, height, g =
+    (module docstring, Automorphisms), the multiplicity by mobius_mult, and
+    for a root a record and a walk of its orbit.  Each point's key, height, g =
     gcd(beta), pairing vector p = A beta and norm (beta, beta) = sum_i
     beta_i sym_i p_i (S = diag(sym) A) are derived once, here, and handed
     to each of those steps, p to pingpong; g * c comes from the sum's
@@ -532,8 +531,8 @@ def compute_all(
     and that vector lies in the chamber too, so it is imaginary and its
     multiple beta is a root.  A violation, or a c-value whose g * c is not
     an integer, raises NonIntegerMultiplicity.  The automorphism generators
-    are found at the first summed point, so a matrix without chamber
-    points never searches for them.
+    are found once, before the first point, and only if there is one, so a
+    matrix without chamber points never searches for them.
     """
     table = RootTable(cm, cap, counter)
     codec = table.codec
@@ -542,10 +541,11 @@ def compute_all(
         table.record(1 << shift, 1, RootRecord(1, 1, 1, cm.s[i][i]))
         pingpong(table, unit(cm.d, i), 1 << shift, 1, column)
 
-    gens = None
+    points = chamber_points(cm, cap)
+    gens = automorphisms(cm) if points else ()
     pending: dict[Vec, int] = {}  # gc of chamber points whose orbit was summed
     a, sym = cm.a, cm.sym
-    for beta in chamber_points(cm, cap):
+    for beta in points:
         key, top, g = codec.encode(beta), sum(beta), gcd(*beta)
         p = tuple([sum(map(mul, row, beta)) for row in a])
         norm = sum(map(mul, map(mul, beta, sym), p))  # S = diag(sym) A
@@ -557,8 +557,6 @@ def compute_all(
                 raise NonIntegerMultiplicity(
                     f"gcd * c({render(beta)}) = {_fraction(num * g, den)} is not an integer"
                 )
-            if gens is None:
-                gens = automorphisms(cm)
             for image in _images(beta, gens):
                 pending[image] = gc
         mult = mobius_mult(table, key, top, g, gc)

@@ -41,6 +41,20 @@ def leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def mobius(n):
+    """Moebius function of n >= 1 by trial division, the arbiter of the
+    tests that check an inversion of c against the textbook formula."""
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
 def box_points(d, lim):
     """All non-negative integer vectors with coordinates <= lim."""
     return product(*(range(lim + 1),) * d)

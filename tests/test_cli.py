@@ -17,6 +17,7 @@ from rootmult import (
     compute_all,
     k_naive_closed,
     naive_compute,
+    oracle,
     peterson,
     preset_matrix,
 )
@@ -285,7 +286,8 @@ def test_not_symmetrizable_exits_3(tmp_path):
 
 
 def test_bad_height_exits_2():
-    run_cli("--preset", "a2", "--height", "0", "--quiet", expect=2)
+    proc = run_cli("--preset", "a2", "--height", "0", "--quiet", expect=2)
+    assert proc.stderr.endswith("rootmult: error: argument --height: must be >= 1\n")
     # no upper bound but Python's int parsing: 2**63 computes, and a
     # height past the int digit limit (where Python has one) is refused
     # by argparse
@@ -293,7 +295,12 @@ def test_bad_height_exits_2():
     assert proc.stdout.splitlines()[1:] == ["0;1,1,2,1/1,1,real", "1;0,1,2,1/1,1,real",
                                             "1;1,2,2,1/1,1,real"]
     limited = hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() > 0
-    run_cli("--preset", "a2", "--height", "9" * 5000, "--quiet", expect=2 if limited else 0)
+    proc = run_cli("--preset", "a2", "--height", "9" * 5000, "--quiet",
+                   expect=2 if limited else 0)
+    if limited:  # the refused value is quoted by its first 10 characters only
+        assert proc.stderr.endswith(
+            "rootmult: error: argument --height: not an int: '9999999999'...\n")
+        assert len(proc.stderr.encode()) < 300
 
 
 def test_unknown_preset_exits_2():
@@ -353,6 +360,23 @@ def test_integrality_failure_exits_5(target, message, monkeypatch, capsys):
     assert cli.main(["--preset", "hyp-2-3", "--height", "10", "--oracle-check"]) == 5
     assert capsys.readouterr().err == (
         message + "m(1;1) = 1/2 is not a non-negative integer\n")
+
+
+def test_oracle_integrality_check_fires_on_a_doctored_form(monkeypatch, capsys):
+    # A form (alpha_1, alpha_1 + alpha_2) off by one makes the oracle's c at
+    # hyp-2-3's (2, 1), where g = 1 and m = c, a fraction; the engine never
+    # calls the oracle's killing, so only the oracle's own check can fire.
+    original = oracle.killing
+
+    def off_by_one(cm, u, v):
+        return original(cm, u, v) + ((u, v) == ((1, 0), (1, 1)))
+
+    monkeypatch.setattr("rootmult.oracle.killing", off_by_one)
+    with pytest.raises(NonIntegerMultiplicity,
+                       match=re.escape("oracle m((2,1)) = 7/8 is not a non-negative integer")):
+        naive_compute(build(HYP3), 6)
+    assert cli.main(["--preset", "hyp-2-3", "--height", "6", "--oracle-check"]) == 5
+    assert capsys.readouterr().err.startswith("internal integrality failure in oracle: oracle m(")
 
 
 def test_deeply_nested_matrix_file_exits_2(tmp_path):

@@ -26,7 +26,7 @@ from rootmult import (
     subroots,
 )
 from rootmult import peterson
-from rootmult.lattice import height, mobius, unit, vsub
+from rootmult.lattice import height, unit, vsub
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
@@ -36,7 +36,8 @@ from rootmult.peterson import (
 )
 from rootmult.metrics import PHASE_SUM
 from helpers import (
-    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, record, symmetrizable_gcms,
+    A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, mobius, record,
+    symmetrizable_gcms,
 )
 
 
@@ -107,10 +108,12 @@ def test_mobius_mult_raises_on_negative_or_indivisible_sum():
 
 @pytest.mark.parametrize("name,cap", [("affine-a1", 60), ("hyp-2-3", 100)])
 def test_mobius_mult_matches_the_fraction_inversion(name, cap):
-    # mobius_mult inverts in integers, h m(beta) = sum_{n | g} mu(n) a(beta/n)
-    # with a = h c; the reference is m(beta) = sum_{n | g} mu(n)/n c(beta/n)
-    # in fractions, each c(beta/n) from the records.  beta/n lies in the
-    # chamber, so it is a root or has c = 0, never a scaled real.
+    # mobius_mult solves the divisor sum for its n = 1 term in integers,
+    # h m(beta) = a(beta) - sum_{n | g, n >= 2} (h/n) m(beta/n) with a = h c;
+    # the reference is the Moebius inversion m(beta) = sum_{n | g} mu(n)/n
+    # c(beta/n) in fractions, each c(beta/n) from the records, with the
+    # tests' own mu.  beta/n lies in the chamber, so it is a root or has
+    # c = 0, never a scaled real.
     cm = build(preset_matrix(name))
     table = compute_all(cm, cap)
     gs = set()
@@ -127,14 +130,15 @@ def test_mobius_mult_matches_the_fraction_inversion(name, cap):
     assert max(gs) == cap // 2  # (30, 30) on affine-a1: mu(30) = -1 is reached
 
 
-@pytest.mark.parametrize("a,shown", [(3, "3/4"), (7, "-1/4")])
-def test_mobius_mult_raises_on_a_doctored_frozen_entry(monkeypatch, a, shown):
-    # At affine-a1's (2, 2), h = 4 and 4 m = a(2, 2) - a(1, 1) = 6 - 2; a
-    # frozen (1, 1) that reads a = 3 or 7 leaves 3 or -1.
+@pytest.mark.parametrize("mult,shown", [(2, "1/2"), (4, "-1/2")])
+def test_mobius_mult_raises_on_a_doctored_record(monkeypatch, mult, shown):
+    # At affine-a1's (2, 2), h = 4 and 4 m = a(2, 2) - 2 m(1, 1) = 6 - 2; a
+    # record of (1, 1) that reads m = 2 or 4 leaves 2 or -2.
     table = compute_all(build(AFFINE_A1), 4)
     half = table.key((1, 1))
-    assert table.frozen[1][half] == (2, 0)
-    monkeypatch.setitem(table.frozen[1], half, (a, 0))
+    rec = table.levels[2][half]
+    assert rec.mult == 1
+    monkeypatch.setitem(table.levels[2], half, rec._replace(mult=mult))
     with pytest.raises(NonIntegerMultiplicity,
                        match=re.escape(f"m((2,2)) = {shown} is not a non-negative integer")):
         mobius_mult(table, table.key((2, 2)), 4, 2, table.get((2, 2)).gc)
