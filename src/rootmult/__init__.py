@@ -7,8 +7,11 @@ height order.  All arithmetic is exact, and every bilinear-form evaluation
 is counted so the measured cost can be compared against the closed-form
 cost of the naive full-lattice algorithm.
 
-The naive oracle (OracleTable, compare_tables, naive_compute) is loaded on
-first use, so importing the package does not pay for it or for fractions.
+A run of the engine loads only the engine.  The names it never calls
+resolve on first access, each from the one module that defines it: the
+naive oracle and its arbiter primitives from rootmult.oracle, the Hilbert
+basis of the chamber from rootmult.hilbert.  So importing the package pays
+for neither of them, nor for fractions.
 """
 
 from .cartan import (
@@ -17,18 +20,10 @@ from .cartan import (
     NotSymmetrizable,
     automorphisms,
     build,
-    killing,
-    reflect,
     rho_pair,
 )
-from .chamber import (
-    CapExceeded,
-    chamber_points,
-    extreme_rays,
-    hilbert_basis,
-    in_chamber,
-)
-from .lattice import coord_gcd, divisors, height, render, subroots
+from .chamber import chamber_points
+from .lattice import height, render
 from .metrics import (
     KillingCounter,
     counter_snapshot,
@@ -52,12 +47,20 @@ from .presets import preset_matrix, tree_matrix
 
 __version__ = "0.1.0"
 
+# Each name loaded on first access, with the submodule that defines it.
+_LAZY = {
+    **dict.fromkeys(("OracleTable", "compare_tables", "naive_compute", "killing",
+                     "reflect", "coord_gcd", "divisors", "subroots"), "oracle"),
+    **dict.fromkeys(("CapExceeded", "extreme_rays", "hilbert_basis", "in_chamber"),
+                    "hilbert"),
+}
+
 
 def __getattr__(name):
-    if name in ("OracleTable", "compare_tables", "naive_compute"):
-        from . import oracle
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(oracle, name)
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

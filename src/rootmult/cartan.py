@@ -9,9 +9,9 @@ on blocks of S stays in integers too: a fraction-free elimination whose
 intermediate entries are minors, so each of its divisions is exact.  The
 symmetrizer is propagated in integers along each component of the Dynkin
 graph and canonicalized to coprime positive integers so output is
-reproducible.  killing (the form) and reflect (a fundamental reflection)
-are pure functions on tuples, which the tests use as arbiters for the
-engine's packed-key arithmetic; the oracle uses both too.
+reproducible.  The form and the fundamental reflections as pure functions
+on tuples (killing, reflect) are in rootmult.oracle, whose arbiters they
+are: the engine does its own arithmetic on packed keys.
 """
 
 from __future__ import annotations
@@ -160,33 +160,6 @@ def automorphisms(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
             if sigma is not None:
                 gens.append(sigma)
     return tuple(gens)
-
-
-def killing(cm: CartanMatrix, beta: Vec, gamma: Vec) -> int:
-    """The invariant bilinear form beta^T * S * gamma.
-
-    A pure integer function: callers that spend forms count them in bulk,
-    once per phase, on their own KillingCounter.
-    """
-    if len(beta) != cm.d or len(gamma) != cm.d:
-        raise ValueError("dimension mismatch")
-    return sum(map(mul, beta, [sum(map(mul, row, gamma)) for row in cm.s]))
-
-
-def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
-    """Image of beta under the i-th fundamental reflection (0-based index):
-
-        s_i(beta) = beta - (sum_j a_ij beta_j) alpha_i
-
-    A pure function and the public single-step API: the oracle descends
-    by it, and the tests check pingpong's walk against a plain walk of it.
-    """
-    if not 0 <= i < cm.d:
-        raise IndexError(f"reflection index {i} out of range for rank {cm.d}")
-    if len(beta) != cm.d:
-        raise ValueError("dimension mismatch")
-    coef = sum(aij * bj for aij, bj in zip(cm.a[i], beta) if bj)
-    return beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
 
 
 def rho_pair(cm: CartanMatrix, beta: Vec) -> int:

@@ -24,7 +24,6 @@ from contextlib import nullcontext
 
 from . import __version__
 from .cartan import NotGCM, NotSymmetrizable, build
-from .chamber import CapExceeded, hilbert_basis
 from .metrics import KillingCounter, counter_snapshot
 from .peterson import CSV_HEADER, NonIntegerMultiplicity, compute_all
 from .presets import PRESET_NAMES, preset_matrix
@@ -139,6 +138,8 @@ def run(args: argparse.Namespace) -> int:
 
     generators = None
     if args.hilbert_basis:
+        from .hilbert import CapExceeded, hilbert_basis  # loaded only here
+
         try:
             generators = hilbert_basis(cm)
         except CapExceeded as e:

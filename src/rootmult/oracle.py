@@ -4,9 +4,14 @@ Walks every positive lattice point of height <= cap in ascending order and
 applies the recurrence over all subroots of the coordinate box, with no
 knowledge of roots, orbits or the chamber; only the simple roots are
 seeded.  Deliberately shares nothing with the graded-ascent engine beyond
-the Cartan and lattice primitives, not even the step from c to the
-multiplicity, which it solves in fractions over its own table, and stays
-single-threaded: it is a test instrument, determinism over speed.
+the Cartan matrix, rho_pair and the vector helpers of rootmult.lattice:
+the invariant form and the fundamental reflections as pure functions on
+tuples (killing, reflect), the coordinate gcd and the box enumeration
+(coord_gcd, subroots, divisors) are its own, and so is the step from c to
+the multiplicity, which it solves in fractions over its own table.  The
+tests use the same primitives as arbiters for the engine's packed-key
+arithmetic.  It stays single-threaded: it is a test instrument,
+determinism over speed.
 
 Intended for d <= 3 and cap <= 15; the cost grows like the closed-form
 naive bound.
@@ -14,13 +19,74 @@ naive bound.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
+from operator import mul
 from typing import Iterator
 
-from .cartan import CartanMatrix, killing, reflect, rho_pair
-from .lattice import Vec, coord_gcd, height, render, subroots, unit
+from .cartan import CartanMatrix, rho_pair
+from .lattice import Vec, height, render, unit
 from .metrics import PHASE_ORACLE, KillingCounter
 from .peterson import NonIntegerMultiplicity, c_value, query_mult
+
+
+def killing(cm: CartanMatrix, beta: Vec, gamma: Vec) -> int:
+    """The invariant bilinear form beta^T * S * gamma.
+
+    A pure integer function: callers that spend forms count them in bulk,
+    once per phase, on their own KillingCounter.
+    """
+    if len(beta) != cm.d or len(gamma) != cm.d:
+        raise ValueError("dimension mismatch")
+    return sum(map(mul, beta, [sum(map(mul, row, gamma)) for row in cm.s]))
+
+
+def reflect(cm: CartanMatrix, i: int, beta: Vec) -> Vec:
+    """Image of beta under the i-th fundamental reflection (0-based index):
+
+        s_i(beta) = beta - (sum_j a_ij beta_j) alpha_i
+
+    A pure function and the public single-step API: the oracle descends
+    by it, and the tests check pingpong's walk against a plain walk of it.
+    """
+    if not 0 <= i < cm.d:
+        raise IndexError(f"reflection index {i} out of range for rank {cm.d}")
+    if len(beta) != cm.d:
+        raise ValueError("dimension mismatch")
+    coef = sum(aij * bj for aij, bj in zip(cm.a[i], beta) if bj)
+    return beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
+
+
+def coord_gcd(beta: Vec) -> int:
+    """gcd of the coordinates; gcd of the zero vector is 0 by convention."""
+    return math.gcd(*beta)
+
+
+def subroots(beta: Vec) -> Iterator[Vec]:
+    """Yield every gamma with 0 <= gamma <= beta componentwise, excluding 0 and
+    beta itself, in lexicographic order.
+
+    The count is prod(beta_i + 1) - 2.  Lazy so the Peterson sum is
+    deterministic and pairs (gamma, beta - gamma) can be visited once.
+    """
+    zero = (0,) * len(beta)
+    for gamma in product(*(range(b + 1) for b in beta)):
+        if gamma != zero and gamma != beta:
+            yield gamma
+
+
+def divisors(beta: Vec) -> Iterator[tuple[int, Vec]]:
+    """Yield all pairs (n, gamma) with n >= 1 and n * gamma == beta.
+
+    Exactly the n dividing coord_gcd(beta) occur; (1, beta) is always first.
+    """
+    if not any(beta):
+        raise ValueError("zero vector has no divisor decomposition")
+    g = coord_gcd(beta)
+    for n in range(1, g + 1):
+        if g % n == 0:
+            yield n, tuple(b // n for b in beta)
 
 
 class OracleTable:

@@ -15,7 +15,7 @@ from rootmult import (
     killing,
     preset_matrix,
 )
-from rootmult import chamber
+from rootmult import chamber, hilbert
 from rootmult.chamber import _det_adjugate, _finite_type_inverse
 from rootmult.lattice import height, vsub
 from helpers import (
@@ -69,15 +69,15 @@ def test_extreme_rays_match_brute_force_on_random_gcms(grid):
 
 
 def test_extreme_rays_self_check_raises_also_under_python_O(monkeypatch):
-    monkeypatch.setattr(chamber, "in_chamber", lambda cm, ray: False)
+    monkeypatch.setattr(hilbert, "in_chamber", lambda cm, ray: False)
     with pytest.raises(AssertionError, match="outside the chamber"):
         extreme_rays(build(HYP3))
     # an assert statement would vanish under -O and return the rays
     script = (
-        "from rootmult import build, chamber\n"
-        "chamber.in_chamber = lambda cm, ray: False\n"
+        "from rootmult import build, hilbert\n"
+        "hilbert.in_chamber = lambda cm, ray: False\n"
         "try:\n"
-        f"    chamber.extreme_rays(build({HYP3}))\n"
+        f"    hilbert.extreme_rays(build({HYP3}))\n"
         "except AssertionError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

@@ -9,12 +9,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rootmult
 from rootmult import (
     automorphisms,
     build,
     chamber,
     cli,
     compute_all,
+    hilbert,
     k_naive_closed,
     naive_compute,
     oracle,
@@ -474,29 +476,45 @@ def run_bare(code):
 def test_cli_import_pulls_in_no_dataclasses_or_inspect():
     # Neither the oracle nor fractions (with decimal and numbers behind it)
     # is on the path of a run without --oracle-check.
+    # Nor is the Hilbert-basis path: the import loads the engine's modules alone.
     unwanted = {"dataclasses", "inspect", "fractions", "decimal", "numbers",
                 "rootmult.oracle"}
     assert run_bare(f"import rootmult.cli; print(sorted({unwanted!r} & set(sys.modules)))"
                     ) == "[]"
+    loaded = run_bare("import rootmult.cli; "
+                      "print(sorted(m for m in sys.modules if m.startswith('rootmult')))")
+    assert loaded == str(["rootmult"] + [f"rootmult.{m}" for m in (
+        "cartan", "chamber", "cli", "lattice", "metrics", "peterson", "presets")])
 
 
 @pytest.mark.parametrize("extra", [(), ("--format", "json", "--metrics"), ("--hilbert-basis",)])
 def test_a_run_without_oracle_check_loads_no_fractions_or_oracle(extra, tmp_path):
+    # Only --hilbert-basis loads the Hilbert-basis path.
+    hilbert = "--hilbert-basis" in extra
     args = ["--preset", "hyp-2-3", "--height", "30", "--quiet", "--out", str(tmp_path / "t"),
             *extra]
     unwanted = {"fractions", "decimal", "numbers", "rootmult.oracle"}
     assert run_bare(f"import rootmult.cli; code = rootmult.cli.main({args!r}); "
-                    f"print(code, sorted({unwanted!r} & set(sys.modules)))") == "0 []"
+                    f"print(code, sorted({unwanted!r} & set(sys.modules)), "
+                    "'rootmult.hilbert' in sys.modules)") == f"0 [] {hilbert}"
 
 
 def test_oracle_names_load_on_first_use():
     out = run_bare(
-        "import rootmult; loaded = 'rootmult.oracle' in sys.modules; "
+        "import rootmult; loaded = {'rootmult.oracle', 'rootmult.hilbert'} & set(sys.modules); "
         "missing = [n for n in rootmult.__all__ if getattr(rootmult, n, None) is None]; "
         "from rootmult import *; "
-        "print(loaded, missing, naive_compute is rootmult.oracle.naive_compute, "
+        "print(sorted(loaded), missing, naive_compute is rootmult.oracle.naive_compute, "
+        "rootmult.killing is rootmult.oracle.killing, "
+        "rootmult.hilbert_basis is rootmult.hilbert.hilbert_basis, "
         "hasattr(rootmult, 'no_such_name'))")
-    assert out == "False [] True False"
+    assert out == "[] [] True True True False"
+    # every moved name is the object its new module defines
+    moved = {oracle: ["OracleTable", "compare_tables", "naive_compute", "killing", "reflect",
+                      "coord_gcd", "divisors", "subroots"],
+             hilbert: ["CapExceeded", "extreme_rays", "hilbert_basis", "in_chamber"]}
+    assert [name for home, names in moved.items() for name in names
+            if getattr(rootmult, name) is not getattr(home, name)] == []
     proc = run_cli("--preset", "hyp-2-3", "--height", "10", "--oracle-check")
     assert "oracle check: all values agree" in proc.stderr
 
@@ -531,7 +549,7 @@ def test_e11_computes_to_height_30():
 
 def test_hilbert_basis_computed_once(monkeypatch, capsys):
     calls = []
-    original = chamber.hilbert_basis
+    original = hilbert.hilbert_basis
 
     def counted(*args, **kwargs):
         calls.append(args)

@@ -791,3 +791,40 @@ def test_nonsymmetric_affine_multiplicities_match_kac(grid, delta, r, n):
             assert rec.norm == 0, v
             assert rec.mult == (ell if j % r == 0 else (n - ell) // (r - 1)), v
     assert imaginary == {}
+
+
+def connected_support(cm, beta):
+    """Whether the nodes where beta is nonzero span a connected subdiagram."""
+    support = [i for i, b in enumerate(beta) if b]
+    reached = support[:1]
+    for i in reached:  # grows while it is read
+        reached += [j for j in support if cm.a[i][j] and j not in reached]
+    return len(reached) == len(support)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=5))
+@example(grid=[[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]])
+def test_kac_structure_theorems_hold_on_the_whole_table(grid):
+    # The support of a root is connected (Kac, Lemma 1.6), and a chamber
+    # point of connected support is an imaginary root (Kac, Thm. 5.4): at
+    # every chamber point, mult > 0 exactly when the support is connected.
+    # A real root has mult 1, and every multiple of an imaginary root is an
+    # imaginary root (Kac, Prop. 5.5).  These hold for every GCM at every
+    # height, where the oracle stops at rank 3.  Random draws rarely have a
+    # chamber point of disconnected support; two affine A1 blocks have one
+    # at every (a, a, b, b).
+    cm = build(grid)
+    cap = 10 if cm.d <= 3 else 6
+    table = compute_all(cm, cap)
+    for beta in chamber_points(cm, cap):
+        assert (beta in table) == connected_support(cm, beta), beta
+    for beta, rec in table.entries.items():
+        assert connected_support(cm, beta), beta
+        if rec.kind == KIND_REAL:
+            assert rec.mult == 1, beta
+            continue
+        h = sum(beta)
+        for n in range(2, cap // h + 1):
+            multiple = table.get(tuple(n * b for b in beta))
+            assert multiple is not None and multiple.mult > 0, (beta, n)
