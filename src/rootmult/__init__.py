@@ -7,100 +7,47 @@ height order.  All arithmetic is exact, and every bilinear-form evaluation
 is counted so the measured cost can be compared against the closed-form
 cost of the naive full-lattice algorithm.
 
-A run of the engine loads only the engine.  The names it never calls
-resolve on first access, each from the one module that defines it: the
-naive oracle and its arbiter primitives from rootmult.oracle, the Hilbert
-basis of the chamber from rootmult.hilbert.  So importing the package pays
-for neither of them, nor for fractions.
+Every public name is listed once, in _NAMES, with the submodule that
+defines it, and resolves on first access.  A run of the engine loads only
+the engine: the naive oracle and its arbiter primitives (rootmult.oracle)
+and the Hilbert basis of the chamber (rootmult.hilbert) load when one of
+their names is first read, so importing the package pays for neither of
+them, nor for fractions.  The engine's own modules are imported here, up
+front: see the comment on that line.
 """
 
-from .cartan import (
-    CartanMatrix,
-    NotGCM,
-    NotSymmetrizable,
-    automorphisms,
-    build,
-    rho_pair,
-)
-from .chamber import chamber_points
-from .lattice import height, render
-from .metrics import (
-    KillingCounter,
-    counter_snapshot,
-    k_ascent_measured,
-    k_naive_closed,
-)
-from .peterson import (
-    HeightExceedsCap,
-    NonIntegerMultiplicity,
-    RootRecord,
-    RootTable,
-    ZeroDenominator,
-    c_value,
-    compute_all,
-    mobius_mult,
-    peterson_c,
-    pingpong,
-    query_mult,
-)
-from .presets import preset_matrix, tree_matrix
+# Imported here, not on first access, so that `import rootmult.cli`
+# compiles the engine before the CLI imports argparse: without a bytecode
+# cache, compiling peterson on the larger heap argparse leaves raised the
+# peak RSS of a bare import by about 0.24 MiB.
+from . import cartan, chamber, metrics, peterson, presets
 
 __version__ = "0.1.0"
 
-# Each name loaded on first access, with the submodule that defines it.
-_LAZY = {
-    **dict.fromkeys(("OracleTable", "compare_tables", "naive_compute", "killing",
-                     "reflect", "coord_gcd", "divisors", "subroots"), "oracle"),
+# Each public name, with the submodule that defines it.
+_NAMES = {
+    **dict.fromkeys(("CartanMatrix", "NotGCM", "NotSymmetrizable", "automorphisms",
+                     "build", "render", "rho_pair"), "cartan"),
+    **dict.fromkeys(("chamber_points",), "chamber"),
     **dict.fromkeys(("CapExceeded", "extreme_rays", "hilbert_basis", "in_chamber"),
                     "hilbert"),
+    **dict.fromkeys(("KillingCounter", "counter_snapshot", "k_ascent_measured",
+                     "k_naive_closed"), "metrics"),
+    **dict.fromkeys(("OracleTable", "compare_tables", "naive_compute", "killing",
+                     "reflect", "coord_gcd", "divisors", "subroots"), "oracle"),
+    **dict.fromkeys(("HeightExceedsCap", "NonIntegerMultiplicity", "RootRecord",
+                     "RootTable", "ZeroDenominator", "c_value", "compute_all",
+                     "mobius_mult", "peterson_c", "pingpong", "query_mult"), "peterson"),
+    **dict.fromkeys(("preset_matrix", "tree_matrix"), "presets"),
 }
+
+__all__ = list(_NAMES)
 
 
 def __getattr__(name):
-    if name in _LAZY:
-        from importlib import import_module
+    if name not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CartanMatrix",
-    "NotGCM",
-    "NotSymmetrizable",
-    "automorphisms",
-    "build",
-    "killing",
-    "reflect",
-    "rho_pair",
-    "CapExceeded",
-    "chamber_points",
-    "extreme_rays",
-    "hilbert_basis",
-    "in_chamber",
-    "coord_gcd",
-    "divisors",
-    "height",
-    "render",
-    "subroots",
-    "KillingCounter",
-    "counter_snapshot",
-    "k_ascent_measured",
-    "k_naive_closed",
-    "OracleTable",
-    "compare_tables",
-    "naive_compute",
-    "HeightExceedsCap",
-    "NonIntegerMultiplicity",
-    "RootRecord",
-    "RootTable",
-    "ZeroDenominator",
-    "c_value",
-    "compute_all",
-    "mobius_mult",
-    "peterson_c",
-    "pingpong",
-    "query_mult",
-    "preset_matrix",
-    "tree_matrix",
-]
+    value = globals()[name] = getattr(import_module(f".{_NAMES[name]}", __name__), name)
+    return value

@@ -12,6 +12,12 @@ graph and canonicalized to coprime positive integers so output is
 reproducible.  The form and the fundamental reflections as pure functions
 on tuples (killing, reflect) are in rootmult.oracle, whose arbiters they
 are: the engine does its own arithmetic on packed keys.
+
+A root-lattice vector is a plain tuple of ints, its coefficients in the
+simple-root basis (Vec).  The two helpers on such tuples that the engine,
+the Hilbert-basis path and the oracle share live here too: unit, a simple
+root, and render, the text form of every output file.  A vector's height
+is the sum of its coordinates, and every caller writes it as sum.
 """
 
 from __future__ import annotations
@@ -20,7 +26,17 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .lattice import Vec
+Vec = tuple[int, ...]
+
+
+def unit(d: int, i: int) -> Vec:
+    """The i-th simple root as a standard basis vector (0-based index)."""
+    return tuple(1 if j == i else 0 for j in range(d))
+
+
+def render(beta: Vec) -> str:
+    """Canonical text form, e.g. (1,3); used in all output files."""
+    return "(" + ",".join(str(b) for b in beta) + ")"
 
 
 class NotGCM(ValueError):

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .cartan import CartanMatrix
-from .lattice import Vec
+from .cartan import CartanMatrix, Vec
 
 
 def _det_adjugate(rows) -> tuple[int, list[list[int]] | None]:

@@ -28,11 +28,10 @@ chamber's fraction-free elimination.
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
-from .cartan import CartanMatrix
+from .cartan import CartanMatrix, Vec, unit
 from .chamber import _det_adjugate, chamber_points
-from .lattice import Vec, height, unit, vsub
 
 
 class CapExceeded(RuntimeError):
@@ -92,7 +91,7 @@ def extreme_rays(cm: CartanMatrix) -> list[Vec]:
 
     if not all(in_chamber(cm, ray) for ray in tight):
         raise AssertionError("double description left a ray outside the chamber")
-    return sorted(tight, key=lambda r: (height(r), r))
+    return sorted(tight, key=lambda r: (sum(r), r))
 
 
 def hilbert_basis(cm: CartanMatrix) -> tuple[Vec, ...]:
@@ -114,10 +113,10 @@ def hilbert_basis(cm: CartanMatrix) -> tuple[Vec, ...]:
         return tuple(rays)
 
     bound = tuple(map(sum, zip(*rays)))
-    if height(bound) > max_height:
+    top = sum(bound)
+    if top > max_height:
         raise CapExceeded(
-            f"certified generator height bound {height(bound)} exceeds "
-            f"max_height {max_height}"
+            f"certified generator height bound {top} exceeds max_height {max_height}"
         )
 
     # beta - g is <= bound and earlier in (height, lex) than beta, so it is
@@ -125,8 +124,8 @@ def hilbert_basis(cm: CartanMatrix) -> tuple[Vec, ...]:
     # is not <= beta it has a negative coordinate, and no point has one.
     generators: list[Vec] = []
     seen: set[Vec] = set()
-    for beta in chamber_points(cm, height(bound), bound):
-        if not any(vsub(beta, g) in seen for g in generators):
+    for beta in chamber_points(cm, top, bound):
+        if not any(tuple(map(sub, beta, g)) in seen for g in generators):
             generators.append(beta)
         seen.add(beta)
     return tuple(generators)

@@ -4,8 +4,8 @@ Walks every positive lattice point of height <= cap in ascending order and
 applies the recurrence over all subroots of the coordinate box, with no
 knowledge of roots, orbits or the chamber; only the simple roots are
 seeded.  Deliberately shares nothing with the graded-ascent engine beyond
-the Cartan matrix, rho_pair and the vector helpers of rootmult.lattice:
-the invariant form and the fundamental reflections as pure functions on
+rootmult.cartan (the Cartan matrix, rho_pair, unit and render): the
+invariant form and the fundamental reflections as pure functions on
 tuples (killing, reflect), the coordinate gcd and the box enumeration
 (coord_gcd, subroots, divisors) are its own, and so is the step from c to
 the multiplicity, which it solves in fractions over its own table.  The
@@ -25,8 +25,7 @@ from itertools import product
 from operator import mul
 from typing import Iterator
 
-from .cartan import CartanMatrix, rho_pair
-from .lattice import Vec, height, render, unit
+from .cartan import CartanMatrix, Vec, render, rho_pair, unit
 from .metrics import PHASE_ORACLE, KillingCounter
 from .peterson import NonIntegerMultiplicity, c_value, query_mult
 
@@ -104,7 +103,7 @@ class OracleTable:
         """Rows for every point carrying multiplicity, engine-schema order."""
         vecs = sorted(
             (v for v, m in self.mult.items() if m > 0),
-            key=lambda v: (height(v), v),
+            key=lambda v: (sum(v), v),
         )
         for v in vecs:
             nrm = killing(self.cm, v, v)
@@ -112,7 +111,7 @@ class OracleTable:
             cval = self.c[v]
             yield {
                 "coords": v,
-                "height": height(v),
+                "height": sum(v),
                 "norm": nrm,
                 "c": f"{cval.numerator}/{cval.denominator}",
                 "mult": self.mult[v],

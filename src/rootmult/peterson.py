@@ -82,9 +82,8 @@ from math import gcd, lcm
 from operator import itemgetter, lshift, mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cartan import CartanMatrix, automorphisms, rho_pair
+from .cartan import CartanMatrix, Vec, automorphisms, render, rho_pair, unit
 from .chamber import chamber_points
-from .lattice import Vec, render, unit
 from .metrics import PHASE_PINGPONG, PHASE_SUM, KillingCounter
 
 if TYPE_CHECKING:

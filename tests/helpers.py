@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import rootmult
 from rootmult import RootRecord, build, in_chamber, killing, pingpong, reflect
-from rootmult.lattice import height, vsub
 
 A2 = [[2, -1], [-1, 2]]
 AFFINE_A1 = [[2, -2], [-2, 2]]
@@ -39,6 +38,11 @@ CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
 def leq(a, b):
     """Componentwise a <= b."""
     return all(x <= y for x, y in zip(a, b))
+
+
+def vsub(a, b):
+    """Componentwise a - b."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def mobius(n):
@@ -67,7 +71,7 @@ def brute_chamber_points(cm, cap):
         for v in box_points(cm.d, cap)
         if sum(v) <= cap and in_chamber(cm, v)
     ]
-    return sorted(pts, key=lambda v: (height(v), v))
+    return sorted(pts, key=lambda v: (sum(v), v))
 
 
 def brute_hilbert_basis(cm, lim):
@@ -79,7 +83,7 @@ def brute_hilbert_basis(cm, lim):
     gens = []
     for beta in sorted(
         (v for v in box_points(cm.d, lim) if in_chamber(cm, v)),
-        key=lambda v: (height(v), v),
+        key=lambda v: (sum(v), v),
     ):
         if not any(leq(g, beta) and in_chamber(cm, vsub(beta, g)) for g in gens):
             gens.append(beta)
@@ -129,7 +133,7 @@ def brute_extreme_rays(cm):
         for v in (ray, tuple(-x for x in ray)):
             if in_chamber(cm, v):
                 rays.add(v)
-    return sorted(rays, key=lambda v: (height(v), v))
+    return sorted(rays, key=lambda v: (sum(v), v))
 
 
 def brute_real_roots(cm, cap):
@@ -143,7 +147,7 @@ def brute_real_roots(cm, cap):
         for i in range(cm.d):
             coef = sum(cm.a[i][j] * beta[j] for j in range(cm.d))
             image = beta[:i] + (beta[i] - coef,) + beta[i + 1 :]
-            if image not in seen and min(image) >= 0 and height(image) <= cap:
+            if image not in seen and min(image) >= 0 and sum(image) <= cap:
                 seen.add(image)
                 frontier.append(image)
     return seen
@@ -176,7 +180,7 @@ def reflect_walk(cm, cap, seed, seen):
         for i in range(cm.d):
             image = reflect(cm, i, beta)
             if (image not in seen and min(image) >= 0
-                    and height(beta) < height(image) <= cap):
+                    and sum(beta) < sum(image) <= cap):
                 seen.add(image)
                 walk.append(image)
     return tuple(walk[1:])

@@ -28,7 +28,6 @@ from rootmult import (
     query_mult,
     reflect,
 )
-from rootmult.lattice import height
 from rootmult.peterson import KIND_REAL
 from helpers import (
     A2, AFFINE_A1, AFFINE_A2, CLI_ENV, HYP3, ROOTMULT, brute_hilbert_basis, record,
@@ -155,14 +154,14 @@ def test_criterion_5_e10_cap_60():
         beta = roots[rng.randrange(len(roots))]
         i = rng.randrange(cm.d)
         image = reflect(cm, i, beta)
-        if any(x < 0 for x in image) or height(image) > 60:
+        if any(x < 0 for x in image) or sum(image) > 60:
             continue
         assert query_mult(table, image) == query_mult(table, beta)
         checked += 1
 
     # a known anchor: the affine e9 null-root chain keeps multiplicity 8
     delta = hilbert_basis(cm)[0]
-    assert height(delta) == 30
+    assert sum(delta) == 30
     assert table.get(delta).mult == 8
     assert table.get(tuple(2 * x for x in delta)).mult == 8
     assert verdict(5, f"e10 cap 60 in {elapsed:.1f}s, {len(roots)} roots", True)
@@ -206,7 +205,7 @@ def test_criterion_7_property_suite():
         for b in beta:
             n *= b + 1
         assert len(subs) == n - 2
-        assert all(height(g) < height(beta) for g in subs)
+        assert all(sum(g) < sum(beta) for g in subs)
         assert [k for k, _ in divisors(beta)] == [
             k for k in range(1, coord_gcd(beta) + 1) if coord_gcd(beta) % k == 0
         ]

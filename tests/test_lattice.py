@@ -5,17 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootmult import coord_gcd, divisors, height, render, subroots
-from rootmult.lattice import unit, vsub
+from rootmult import coord_gcd, divisors, render, subroots
+from rootmult.cartan import unit
 from rootmult.peterson import KeyCodec
-from helpers import leq, mobius
-
-
-def test_height():
-    assert height((1, 0)) == 1
-    assert height((2, 3)) == 5
-    assert height((0, 0)) == 0
-    assert height((-2, 1)) == -1
+from helpers import leq, mobius, vsub
 
 
 def test_coord_gcd():
@@ -26,7 +19,6 @@ def test_coord_gcd():
 
 
 def test_vector_helpers():
-    assert vsub((3, 4), (1, 2)) == (2, 2)
     assert unit(3, 1) == (0, 1, 0)
     assert render((1, 3)) == "(1,3)"
     assert render((7,)) == "(7)"
@@ -49,7 +41,7 @@ def test_subroot_count_and_closure(beta):
     assert len(subs) == expected - 2
     assert len(set(subs)) == len(subs)
     for gamma in subs:
-        assert height(gamma) < height(beta)
+        assert sum(gamma) < sum(beta)
         # closed under gamma -> beta - gamma
         assert vsub(beta, gamma) in set(subs)
 

@@ -26,7 +26,7 @@ from rootmult import (
     subroots,
 )
 from rootmult import peterson
-from rootmult.lattice import height, unit, vsub
+from rootmult.cartan import unit
 from rootmult.peterson import (
     KIND_IMAGINARY,
     KIND_REAL,
@@ -37,7 +37,7 @@ from rootmult.peterson import (
 from rootmult.metrics import PHASE_SUM
 from helpers import (
     A2, AFFINE_A1, AFFINE_A2, HYP3, HYP3D, RANK1, box_points, mobius, record,
-    symmetrizable_gcms,
+    symmetrizable_gcms, vsub,
 )
 
 
@@ -156,7 +156,7 @@ def test_c_readers_agree(name, cap):
         assert c_value(table, v) == rec.c
     assert len(table.frozen) == cap
     scaled = [(n, tuple(n * x for x in r)) for r, rec in entries.items() if rec.norm > 0
-              for n in range(2, cap // height(r) + 1)]
+              for n in range(2, cap // sum(r) + 1)]
     assert scaled
     for n, u in scaled:
         assert c_value(table, u) == Fraction(1, n)
@@ -213,14 +213,14 @@ def test_peterson_sum_equals_a_brute_force_sum(grid, cap):
     cm = build(grid)
     table = compute_all(cm, cap)
     for beta in chamber_points(cm, cap):
-        top = height(beta)
+        top = sum(beta)
         total, visited = Fraction(0), 0
         for u in subroots(beta):
             v = vsub(beta, u)
             cu, cv = c_value(table, u), c_value(table, v)
             if cu and cv:
                 total += killing(cm, u, v) * cu * cv
-                visited += 2 * height(u) < top or (2 * height(u) == top and u <= v)
+                visited += 2 * sum(u) < top or (2 * sum(u) == top and u <= v)
         before = table.counter.count(PHASE_SUM)
         norm = killing(cm, beta, beta)
         value = Fraction(*peterson_c(table, beta, table.key(beta), top, norm))
@@ -262,7 +262,7 @@ def assert_frozen_heights_match_the_records(table):
         assert len({id(entry[k]) for k in level}) == len({id(rec) for rec in level.values()})
         scaled = {}
         for r, rec in reals:
-            n, rest = divmod(b, height(r))
+            n, rest = divmod(b, sum(r))
             if n >= 2 and not rest:
                 u = tuple(n * x for x in r)
                 scaled[u] = (b // n, killing(cm, u, u))
@@ -318,7 +318,7 @@ def test_peterson_c_out_of_order_matches_in_order():
         table = compute_all(cm, 40)
         points = []
         for beta in chamber_points(cm, 40):
-            args = (table, beta, table.key(beta), height(beta), killing(cm, beta, beta))
+            args = (table, beta, table.key(beta), sum(beta), killing(cm, beta, beta))
             value = peterson_c(*args)
             assert Fraction(*value) == c_value(table, beta)
             points.append((args, value))
@@ -338,7 +338,7 @@ def recurrence_off_the_chamber(grid, cap):
     table = compute_all(cm, cap)
     checked = skipped = 0
     for beta in box_points(cm.d, cap):
-        top = height(beta)
+        top = sum(beta)
         if not 2 <= top <= cap:
             continue
         norm = killing(cm, beta, beta)
@@ -512,7 +512,7 @@ def test_weyl_invariance_of_multiplicity():
     for beta in table.roots():
         for i in range(cm.d):
             image = reflect(cm, i, beta)
-            if all(x >= 0 for x in image) and any(image) and height(image) <= 14:
+            if all(x >= 0 for x in image) and any(image) and sum(image) <= 14:
                 assert query_mult(table, image) == query_mult(table, beta)
 
 
@@ -547,7 +547,7 @@ def test_closure_under_multiples_of_imaginary_roots():
         if rec.kind != KIND_IMAGINARY:
             continue
         n = 2
-        while n * height(v) <= cap:
+        while n * sum(v) <= cap:
             assert query_mult(table, tuple(n * x for x in v)) >= 1
             n += 1
 
@@ -802,20 +802,16 @@ def connected_support(cm, beta):
     return len(reached) == len(support)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(grid=symmetrizable_gcms(max_rank=5))
-@example(grid=[[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]])
-def test_kac_structure_theorems_hold_on_the_whole_table(grid):
-    # The support of a root is connected (Kac, Lemma 1.6), and a chamber
-    # point of connected support is an imaginary root (Kac, Thm. 5.4): at
-    # every chamber point, mult > 0 exactly when the support is connected.
-    # A real root has mult 1, and every multiple of an imaginary root is an
-    # imaginary root (Kac, Prop. 5.5).  These hold for every GCM at every
-    # height, where the oracle stops at rank 3.  Random draws rarely have a
-    # chamber point of disconnected support; two affine A1 blocks have one
-    # at every (a, a, b, b).
-    cm = build(grid)
-    cap = 10 if cm.d <= 3 else 6
+def check_structure_theorems(cm, cap):
+    """Kac's structure theorems on the whole table of cm up to cap.
+
+    The support of a root is connected (Kac, Lemma 1.6), and a chamber
+    point of connected support is an imaginary root (Kac, Thm. 5.4): at
+    every chamber point, mult > 0 exactly when the support is connected.
+    A real root has mult 1, and every multiple of an imaginary root is an
+    imaginary root (Kac, Prop. 5.5).  These hold for every GCM at every
+    height, where the oracle stops at rank 3.
+    """
     table = compute_all(cm, cap)
     for beta in chamber_points(cm, cap):
         assert (beta in table) == connected_support(cm, beta), beta
@@ -828,3 +824,20 @@ def test_kac_structure_theorems_hold_on_the_whole_table(grid):
         for n in range(2, cap // h + 1):
             multiple = table.get(tuple(n * b for b in beta))
             assert multiple is not None and multiple.mult > 0, (beta, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid=symmetrizable_gcms(max_rank=5))
+@example(grid=[[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]])
+def test_kac_structure_theorems_hold_on_the_whole_table(grid):
+    # Random draws rarely have a chamber point of disconnected support;
+    # two affine A1 blocks have one at every (a, a, b, b).
+    cm = build(grid)
+    check_structure_theorems(cm, 10 if cm.d <= 3 else 6)
+
+
+# The presets at caps whose CSV digests CI pins; e10@100 and hyp-2-3@200,
+# pinned there too, take over a second each here.
+@pytest.mark.parametrize("preset,cap", [("e10", 80), ("e11", 50), ("hyp-2-3", 100)])
+def test_kac_structure_theorems_hold_on_the_presets(preset, cap):
+    check_structure_theorems(build(preset_matrix(preset)), cap)
